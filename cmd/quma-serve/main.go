@@ -49,9 +49,9 @@
 // "class": "interactive"|"batch", "max_queued_jobs": N,
 // "max_experiments_in_flight": M}, ...]} — see service.TenantConfig.
 //
-// Durability: with -journal-dir set, every accepted job is appended to
-// an fsync'd write-ahead log before the submission is acknowledged,
-// and every state transition after it. A killed server restarted on
+// Durability: with -journal-dir set, every accepted job is written to a
+// write-ahead log and fsync'd before the submission is acknowledged,
+// and every state transition after it is written too. A killed server restarted on
 // the same directory recovers: finished jobs serve their journaled
 // results byte-for-byte, unfinished jobs re-execute — and because
 // results are pure functions of requests, re-execution reproduces the

@@ -231,8 +231,13 @@
 //
 // The service is also crash-safe: with a journal directory configured
 // (quma-serve -journal-dir), every accepted job is recorded in an
-// append-only, fsync'd, checksummed log (internal/journal) before the
-// submission is acknowledged, and a restarted server replays the log —
+// append-only, checksummed log (internal/journal) and fsync'd before the
+// submission is acknowledged — by a group commit outside the server
+// lock, one fsync shared by concurrent submissions. Only the records
+// recovery cannot re-derive are fsync'd (accepted, failed, canceled);
+// running, done and evicted records are written and ride the next sync,
+// since losing one to an OS crash only means deterministic
+// re-execution. A restarted server replays the log —
 // finished jobs keep their journaled results, unfinished jobs
 // re-execute deterministically under their original IDs, and a torn
 // tail from a mid-write crash is truncated away rather than failing

@@ -179,10 +179,11 @@ func (p Plan) JournalFaults() *journal.Faults {
 		}
 	}
 	if p.SlowFsync > 0 {
-		f.Fsync = func() {
+		f.Fsync = func() error {
 			if syncs.Add(1) >= int64(p.SlowFsync) {
 				time.Sleep(slowFor)
 			}
+			return nil
 		}
 	}
 	return f

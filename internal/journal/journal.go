@@ -1,17 +1,39 @@
 // Package journal is the crash-safe durable job log of the quma batch
-// service: an append-only, fsync'd, checksummed write-ahead log of
-// accepted jobs and their state transitions. One record is appended per
-// transition — accepted (carrying the canonicalized request JSON, its
-// hash, and an optional idempotency key), running, and exactly one
-// terminal record (done with the result bytes and their hash, or
-// failed/canceled with the taxonomy code) — so that after an unclean
-// process death the service can replay the log, restore every terminal
-// job byte-for-byte, and re-enqueue every non-terminal job for
-// deterministic re-execution. The service determinism contract (result
-// JSON is a pure function of the request) is what makes this sound:
-// at-least-once re-execution of a journaled request reproduces the
-// exact result bytes, so recovery gives exactly-once-observable
-// semantics without distributed coordination.
+// service: an append-only, checksummed write-ahead log of accepted jobs
+// and their state transitions. One record is written per transition —
+// accepted (carrying the canonicalized request JSON, its hash, and an
+// optional idempotency key), running, and exactly one terminal record
+// (done with the result bytes and their hash, or failed/canceled with
+// the taxonomy code) — so that after an unclean process death the
+// service can replay the log, restore every terminal job byte-for-byte,
+// and re-enqueue every non-terminal job for deterministic re-execution.
+// The service determinism contract (result JSON is a pure function of
+// the request) is what makes this sound: at-least-once re-execution of
+// a journaled request reproduces the exact result bytes, so recovery
+// gives exactly-once-observable semantics without distributed
+// coordination.
+//
+// # Writing and syncing
+//
+// Write frames a record and writes it to the active segment without an
+// fsync, returning its sequence number; the record survives a process
+// kill (it is in the page cache) but not an OS crash until it is
+// synced. Sync(seq) is a group commit: it returns once every record
+// through seq is on disk. Concurrent callers share one fsync — whoever
+// finds no fsync in flight issues one covering everything written so
+// far, and the rest wait for it — and the journal lock is not held
+// during the fsync, so writers keep appending behind it. A rotation
+// syncs its compacted segment, which counts as a sync of every record
+// written before it. Append is Write then Sync. Close syncs whatever is
+// still unsynced.
+//
+// The service fsyncs exactly the records recovery cannot re-derive:
+// the accepted record (the job itself) is synced before the submission
+// is acknowledged, and failed and canceled records are appended, since
+// their outcome is not a pure function of the request. Running, done
+// and evicted records are only written: losing one to an OS crash makes
+// recovery re-execute or re-trim the job, which reproduces identical
+// bytes, and each becomes durable at the next sync or rotation.
 //
 // # On-disk format
 //
@@ -20,34 +42,37 @@
 //
 //	[4B little-endian payload length][4B CRC32-C of payload][payload]
 //
-// where the payload is the JSON encoding of Record. Appends are
-// fsync'd before they are acknowledged (Options.DisableFsync turns
-// this off for tests). Replay walks the segments in order and stops at
-// the first frame that fails to parse — short header, short payload,
-// checksum mismatch, or invalid JSON. Everything from that point on is
-// the torn tail of an interrupted write (or real corruption): the
-// segment is truncated at the last valid record, later segments are
-// dropped, and Open succeeds with the damage reported in
-// RecoveryStats — a torn tail is recovered-with-truncation, never a
-// startup failure. A job whose terminal record fell in the truncated
-// tail simply replays as non-terminal and is re-executed.
+// where the payload is the JSON encoding of Record. Replay walks the
+// segments in order and stops at the first frame that fails to parse —
+// short header, short payload, checksum mismatch, or invalid JSON.
+// Everything from that point on is the torn tail of an interrupted
+// write (or real corruption): the segment is truncated at the last
+// valid record, later segments are dropped, and Open succeeds with the
+// damage reported in RecoveryStats — a torn tail is
+// recovered-with-truncation, never a startup failure. A job whose
+// terminal record fell in the truncated tail simply replays as
+// non-terminal and is re-executed.
 //
 // # Rotation and compaction
 //
-// When the active segment exceeds Options.MaxSegmentBytes, the journal
+// When the active segment exceeds the larger of Options.MaxSegmentBytes
+// and twice the size of the last compacted rewrite, the journal
 // rotates: the live state (one accepted record per known job, its
 // running marker if running, and its terminal record if finished) is
 // rewritten compacted into a fresh segment, the new segment is synced,
-// and the old segments are deleted. Jobs the service has evicted from
-// its retention window are tombstoned with an evicted record and drop
-// out entirely at the next compaction, so the journal's size is
-// bounded by the service's own retention bound, not by uptime.
+// and the old segments are deleted. The doubling keeps rotation
+// amortized when the live state itself outgrows the bound: N writes
+// cost O(log N) rewrites, not one rewrite each. Jobs the service has
+// evicted from its retention window are tombstoned with an evicted
+// record and drop out entirely at the next compaction, so the
+// journal's size is bounded by the service's own retention bound, not
+// by uptime.
 //
 // # Fault hooks
 //
 // Faults mirrors the nil-check-only hook pattern of expt.FaultHooks:
 // a nil *Faults (the default everywhere outside crash tests) costs one
-// nil check per append. internal/faultinject compiles deterministic
+// nil check per write. internal/faultinject compiles deterministic
 // disk fault plans (FailJournalAppend, TornWrite, SlowFsync) into
 // these hooks for the kill-based crash harness in internal/service.
 package journal
@@ -55,6 +80,7 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -78,7 +104,7 @@ const (
 )
 
 // Record is one journal entry. Which fields are meaningful depends on
-// Type; Seq is assigned by Append and is monotonic across segments.
+// Type; Seq is assigned by Write and is monotonic across segments.
 type Record struct {
 	Seq  uint64 `json:"seq"`
 	Type string `json:"type"`
@@ -172,11 +198,11 @@ type RecoveryStats struct {
 
 // Faults are the journal's deterministic disk fault hooks, compiled by
 // internal/faultinject. A nil *Faults is the production default and
-// costs one nil check per append; none of the hooks is on any per-shot
+// costs one nil check per write; none of the hooks is on any per-shot
 // path.
 type Faults struct {
-	// Append runs before each record append; a non-nil error fails that
-	// append (the caller sees a journal write failure).
+	// Append runs before each record write; a non-nil error fails that
+	// write (the caller sees a journal write failure).
 	Append func() error
 	// Torn may return a strict prefix of the framed record to write in
 	// its place, simulating a write torn by a crash: the prefix is
@@ -185,8 +211,21 @@ type Faults struct {
 	// exactly the on-disk state an OS-level torn write leaves behind.
 	// Returning nil leaves the record intact.
 	Torn func(frame []byte) []byte
-	// Fsync runs before each fsync (sleep here to simulate a slow disk).
-	Fsync func()
+	// Fsync runs before each group-commit fsync, outside the journal
+	// lock (sleep here to simulate a slow disk); a non-nil error fails
+	// that fsync.
+	Fsync func() error
+}
+
+// Counters is the journal's write activity since Open; records per
+// fsync is Appends/Fsyncs.
+type Counters struct {
+	// Appends counts records written, by Write or Append.
+	Appends uint64
+	// Fsyncs counts fsyncs of segment data: group commits plus
+	// rotations. Under Options.DisableFsync it counts the commits that
+	// would have fsync'd.
+	Fsyncs uint64
 }
 
 // Options configures Open.
@@ -194,10 +233,11 @@ type Options struct {
 	// Dir is the journal directory; created if absent.
 	Dir string
 	// MaxSegmentBytes triggers rotation + compaction when the active
-	// segment grows past it (default 4 MiB).
+	// segment grows past it, or past twice the last compacted rewrite
+	// if that is larger (default 4 MiB).
 	MaxSegmentBytes int64
-	// DisableFsync skips the per-append fsync (tests only: a SIGKILL
-	// still observes everything written, but a power loss would not).
+	// DisableFsync skips every fsync (tests only: a SIGKILL still
+	// observes everything written, but a power loss would not).
 	DisableFsync bool
 	// Faults installs disk fault hooks; nil in production.
 	Faults *Faults
@@ -213,7 +253,10 @@ const (
 	firstSegmentIndex int = 1
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+var (
+	crcTable  = crc32.MakeTable(crc32.Castagnoli)
+	errClosed = errors.New("journal: closed")
+)
 
 // Journal is an open write-ahead log. All methods are safe for
 // concurrent use.
@@ -230,6 +273,16 @@ type Journal struct {
 	wedged  bool
 	state   map[string]*JobState
 	stats   RecoveryStats
+	count   Counters
+	// lastCompact is the size of the last compacted rewrite; the
+	// rotation threshold is the larger of maxSeg and twice it.
+	lastCompact int64
+	// synced is the highest sequence number known to be on disk.
+	// syncing is set while a group-commit fsync runs outside mu;
+	// syncDone is broadcast when it ends.
+	synced   uint64
+	syncing  bool
+	syncDone *sync.Cond
 }
 
 func segmentPath(dir string, idx int) string {
@@ -260,6 +313,7 @@ func Open(opts Options) (*Journal, error) {
 		nextSeq: 1,
 		state:   make(map[string]*JobState),
 	}
+	j.syncDone = sync.NewCond(&j.mu)
 
 	segs, err := listSegments(opts.Dir)
 	if err != nil {
@@ -270,6 +324,9 @@ func Open(opts Options) (*Journal, error) {
 		return nil, err
 	}
 	j.stats.Jobs = len(j.state)
+	// Sync covers records written from here on; replayed ones are
+	// whatever the disk already holds.
+	j.synced = j.nextSeq - 1
 
 	f, err := os.OpenFile(segmentPath(j.dir, j.segIdx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -425,51 +482,111 @@ func (j *Journal) Stats() RecoveryStats {
 	return j.stats
 }
 
-// Append durably appends one record: frame, write, fsync — the record
-// is on disk (modulo DisableFsync) before Append returns nil. Rotation
-// and compaction happen transparently when the active segment outgrows
-// its bound.
-func (j *Journal) Append(rec Record) error {
+// Write frames rec and writes it to the active segment without an
+// fsync, returning its sequence number: the record survives a process
+// kill at once, and an OS crash once Sync(seq) returns. Rotation and
+// compaction happen transparently when the active segment outgrows its
+// bound. On a wedged journal (a simulated torn write) Write is a silent
+// no-op returning seq 0.
+func (j *Journal) Write(rec Record) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.wedged {
 		// A simulated torn write ended this journal's usable life the
 		// same way a crash would have; the harness SIGKILLs shortly.
-		return nil
+		return 0, nil
+	}
+	if j.f == nil {
+		return 0, errClosed
 	}
 	if f := j.faults; f != nil && f.Append != nil {
 		if err := f.Append(); err != nil {
-			return fmt.Errorf("journal: append: %w", err)
+			return 0, fmt.Errorf("journal: append: %w", err)
 		}
 	}
 	rec.Seq = j.nextSeq
 	frame, err := encodeFrame(rec)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if f := j.faults; f != nil && f.Torn != nil {
 		if torn := f.Torn(frame); torn != nil && len(torn) < len(frame) {
 			j.f.Write(torn)
-			j.syncLocked()
+			j.fsync(j.f)
 			j.wedged = true
-			return nil
+			return 0, nil
 		}
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if err := j.syncLocked(); err != nil {
-		return err
+		return 0, fmt.Errorf("journal: append: %w", err)
 	}
 	j.nextSeq++
 	j.size += int64(len(frame))
+	j.count.Appends++
 	j.apply(rec)
-	if j.size > j.maxSeg {
+	if j.size > max(j.maxSeg, 2*j.lastCompact) {
 		if err := j.rotateLocked(); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return rec.Seq, nil
+}
+
+// Sync is a group commit: it returns once every record through seq (a
+// sequence number Write returned) is on disk. Concurrent callers share
+// one fsync — a caller that finds an fsync in flight waits for it and
+// issues the next one only if that did not cover its record — and the
+// fsync runs without the journal lock, so Write proceeds meanwhile. A
+// rotation's synced segment counts: after one, Sync of any earlier
+// record returns without an fsync.
+func (j *Journal) Sync(seq uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for {
+		if seq <= j.synced || j.wedged {
+			return nil
+		}
+		if j.f == nil {
+			return errClosed
+		}
+		if !j.syncing {
+			break
+		}
+		j.syncDone.Wait()
+	}
+	j.syncing = true
+	f, through := j.f, j.nextSeq-1
+	j.mu.Unlock()
+	err := j.fsync(f)
+	j.mu.Lock()
+	j.syncing = false
+	j.syncDone.Broadcast()
+	if err == nil {
+		j.count.Fsyncs++
+		j.synced = max(j.synced, through)
+	} else if seq <= j.synced {
+		// A rotation or Close synced the record while this fsync ran
+		// (and may have closed f under it).
+		err = nil
+	}
+	return err
+}
+
+// Append durably appends one record: Write, then Sync — the record is
+// on disk (modulo DisableFsync) before Append returns nil.
+func (j *Journal) Append(rec Record) error {
+	seq, err := j.Write(rec)
+	if err != nil {
+		return err
+	}
+	return j.Sync(seq)
+}
+
+// Counters returns the journal's write activity since Open.
+func (j *Journal) Counters() Counters {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.count
 }
 
 func encodeFrame(rec Record) ([]byte, error) {
@@ -484,14 +601,18 @@ func encodeFrame(rec Record) ([]byte, error) {
 	return frame, nil
 }
 
-func (j *Journal) syncLocked() error {
-	if f := j.faults; f != nil && f.Fsync != nil {
-		f.Fsync()
+// fsync runs the Fsync fault hook, then fsyncs f unless DisableFsync.
+// It touches only fields fixed at Open, so it runs with or without mu.
+func (j *Journal) fsync(f *os.File) error {
+	if h := j.faults; h != nil && h.Fsync != nil {
+		if err := h.Fsync(); err != nil {
+			return fmt.Errorf("journal: fsync: %w", err)
+		}
 	}
 	if j.noSync {
 		return nil
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	return nil
@@ -545,7 +666,11 @@ func (j *Journal) rotateLocked() error {
 	syncDir(j.dir)
 
 	old, oldIdx := j.f, j.segIdx
-	j.f, j.segIdx, j.size = f, newIdx, size
+	j.f, j.segIdx, j.size, j.lastCompact = f, newIdx, size, size
+	// The compacted segment holds the state of every record written so
+	// far, so it is a sync of all of them.
+	j.synced = j.nextSeq - 1
+	j.count.Fsyncs++
 	old.Close()
 	for idx := oldIdx; idx >= firstSegmentIndex; idx-- {
 		p := segmentPath(j.dir, idx)
@@ -576,8 +701,8 @@ func (st *JobState) records() []Record {
 	return recs
 }
 
-// Close syncs and closes the active segment. The journal is not usable
-// afterwards.
+// Close syncs the active segment (making every written record durable)
+// and closes it. Write fails afterwards.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -587,6 +712,9 @@ func (j *Journal) Close() error {
 	var err error
 	if !j.noSync && !j.wedged {
 		err = j.f.Sync()
+	}
+	if err == nil {
+		j.synced = j.nextSeq - 1
 	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -311,9 +313,10 @@ func TestFaultHooks(t *testing.T) {
 	t.Run("slow fsync delays but does not fail", func(t *testing.T) {
 		dir := t.TempDir()
 		var slept int
-		j := open(t, dir, Options{Faults: &Faults{Fsync: func() {
+		j := open(t, dir, Options{Faults: &Faults{Fsync: func() error {
 			slept++
 			time.Sleep(time.Millisecond)
+			return nil
 		}}})
 		appendAll(t, j, Accepted("job-1", "", "h", nil))
 		if slept == 0 {
@@ -330,4 +333,136 @@ func TestOpenRequiresDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b")
 	j := open(t, dir, Options{})
 	appendAll(t, j, Accepted("job-1", "", "h", nil))
+}
+
+// TestGroupCommitSharesFsyncs: concurrent Write+Sync callers share
+// fsyncs — a slow fsync lets the others queue behind it and one
+// follow-up fsync covers them all — and every record still replays.
+func TestGroupCommitSharesFsyncs(t *testing.T) {
+	dir := t.TempDir()
+	var hooked atomic.Int64
+	j := open(t, dir, Options{Faults: &Faults{Fsync: func() error {
+		hooked.Add(1)
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	}}})
+	const n = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			seq, err := j.Write(Accepted(fmt.Sprintf("job-%d", i), "", "h", json.RawMessage(`[1]`)))
+			if err == nil {
+				err = j.Sync(seq)
+			}
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := j.Counters()
+	if c.Appends != n || c.Fsyncs != uint64(hooked.Load()) {
+		t.Fatalf("counters %+v, hook ran %d times; want %d appends and one fsync per hook call", c, hooked.Load(), n)
+	}
+	if c.Fsyncs >= n {
+		t.Fatalf("%d callers issued %d fsyncs; group commit shared none", n, c.Fsyncs)
+	}
+	j.Close()
+	if sts := open(t, dir, Options{}).States(); len(sts) != n {
+		t.Fatalf("replayed %d jobs, want %d", len(sts), n)
+	}
+}
+
+// TestSyncAfterRotationNeedsNoFsync: a rotation syncs the compacted
+// segment, which covers every record written before it.
+func TestSyncAfterRotationNeedsNoFsync(t *testing.T) {
+	var hooked atomic.Int64
+	j := open(t, t.TempDir(), Options{MaxSegmentBytes: 1024, Faults: &Faults{Fsync: func() error {
+		hooked.Add(1)
+		return nil
+	}}})
+	var seq uint64
+	for i := 1; j.segIdx == firstSegmentIndex; i++ {
+		var err error
+		if seq, err = j.Write(Accepted(fmt.Sprintf("job-%d", i), "", "h", json.RawMessage(`[1]`))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := j.Counters()
+	if err := j.Sync(seq); err != nil {
+		t.Fatal(err)
+	}
+	if after := j.Counters(); after.Fsyncs != before.Fsyncs || hooked.Load() != 0 {
+		t.Fatalf("Sync after rotation issued an fsync: counters %+v -> %+v, hook ran %d times", before, after, hooked.Load())
+	}
+}
+
+// TestRotationIsAmortizedPastTheBound: once the live state outgrows
+// MaxSegmentBytes, rotation must not rewrite it on every write. The
+// threshold doubles with the compacted size, so N writes cost O(log N)
+// rotations, and reopening recovers every job.
+func TestRotationIsAmortizedPastTheBound(t *testing.T) {
+	dir := t.TempDir()
+	j := open(t, dir, Options{MaxSegmentBytes: 1024, DisableFsync: true})
+	const n = 2000
+	for i := 1; i <= n; i++ {
+		appendAll(t, j, Accepted(fmt.Sprintf("job-%d", i), "", "h", json.RawMessage(`[{"type":"t1"}]`)))
+	}
+	// The live state passes the bound after about ten records; log2 of
+	// the rest, plus slack, bounds an amortized schedule. Each rotation
+	// moves to the next segment index.
+	if r := j.segIdx - firstSegmentIndex; r == 0 || r > 2*11 {
+		t.Fatalf("%d writes past the bound caused %d rotations, want O(log N)", n, r)
+	}
+	j.Close()
+	sts := open(t, dir, Options{}).States()
+	if len(sts) != n {
+		t.Fatalf("replayed %d jobs, want %d", len(sts), n)
+	}
+	for i, st := range sts {
+		if want := fmt.Sprintf("job-%d", i+1); st.ID != want {
+			t.Fatalf("state %d is %s, want %s", i, st.ID, want)
+		}
+	}
+}
+
+// TestSyncFailureSurfaces: an fsync error fails the Sync that issued it
+// (and is not mistaken for a commit); the next Sync retries and
+// succeeds. A closed journal rejects Write and Sync.
+func TestSyncFailureSurfaces(t *testing.T) {
+	boom := errors.New("disk on fire")
+	var calls atomic.Int64
+	j := open(t, t.TempDir(), Options{Faults: &Faults{Fsync: func() error {
+		if calls.Add(1) == 1 {
+			return boom
+		}
+		return nil
+	}}})
+	seq, err := j.Write(Accepted("job-1", "", "h", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(seq); !errors.Is(err, boom) {
+		t.Fatalf("Sync err %v, want the injected failure", err)
+	}
+	if c := j.Counters(); c.Fsyncs != 0 {
+		t.Fatalf("failed fsync counted: %+v", c)
+	}
+	if err := j.Sync(seq); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	j.Close()
+	if _, err := j.Write(Running("job-1")); err == nil {
+		t.Fatal("Write on a closed journal succeeded")
+	}
+	if err := j.Sync(seq + 1); err == nil {
+		t.Fatal("Sync of an unwritten record on a closed journal succeeded")
+	}
 }

@@ -41,8 +41,9 @@
 //	                          alias of /stream)
 //	GET    /healthz           liveness + queue depth (total and per
 //	                          priority class), cache hit/miss/eviction
-//	                          counters (+ journal recovery stats when
-//	                          durability is on)
+//	                          counters (+ journal recovery stats and
+//	                          append/fsync counters when durability is
+//	                          on)
 //
 // # Error taxonomy
 //
@@ -167,17 +168,32 @@
 // # Durability and recovery
 //
 // With Config.Journal set (quma-serve -journal-dir), the server keeps a
-// crash-safe record of every accepted job in an append-only, fsync'd,
+// crash-safe record of every accepted job in an append-only,
 // checksummed log (internal/journal): one record at acceptance —
-// written and synced before the 202 is sent, carrying the canonicalized
-// request bytes and their hash — and one per state transition after it
-// (running, done/failed/canceled with result bytes and result hash,
-// evicted). The accepted append is load-bearing: if it fails, the
+// carrying the canonicalized request bytes and their hash — and one per
+// state transition after it (running, done/failed/canceled with result
+// bytes and result hash, evicted). The accepted record is load-bearing:
+// it is written under the server lock (journal order is id order),
+// synced by a group commit after the lock is released, and only then is
+// the job queued and the 202 sent. If the write or the sync fails, the
 // submission is rejected 500 internal/journal_append_failed rather than
-// accepted undurably. Later appends are best-effort, which is safe
-// because of the determinism invariant above — if a crash eats a
-// terminal record, recovery simply re-executes the request and
-// reproduces the exact bytes the lost record held.
+// accepted undurably (a record written before a failed sync is
+// tombstoned). While its record is syncing a job holds a queue slot, a
+// keyed resubmission waits for the commit's outcome, and DrainTimeout
+// waits for the commit before it closes the queue.
+//
+// The fsync rule is: fsync exactly the records recovery cannot
+// re-derive. Beyond the accepted record, failed and canceled records
+// are synced (their outcome is not a pure function of the request);
+// running, done and evicted records are only written. Losing one of
+// those to an OS crash makes recovery re-execute or re-trim the job,
+// which by the determinism invariant above reproduces the exact bytes
+// the lost record held; each becomes durable at the next sync or
+// rotation. A process kill loses none of them — written records are in
+// the page cache. Every record after the accepted one is best-effort:
+// a journal failure there never fails the job. A fresh job therefore
+// costs one fsync, shared with every submission committing beside it;
+// /healthz reports the journal's appends and fsyncs.
 //
 // Recovery is replay: a restarted server reads the journal before
 // serving, restores finished jobs (results verified against the
@@ -209,8 +225,8 @@
 // shot loop, which checks it with bounded staleness (every
 // replay.ctxCheckShots shots) — so preemption lands mid-sweep, not
 // between experiments. A preempted job never exposes a partial result:
-// the expt layer returns (nil, wrapped ctx error) and job.finish drops
-// the result slots on any non-done terminal state. The flip side is the
+// the expt layer returns (nil, wrapped ctx error) and job.finish keeps a
+// result document only for a done job. The flip side is the
 // determinism half of the contract: a job that completes is bit-identical
 // to an uncancellable run — cancellation can only abort, never perturb
 // (cancel_test.go in internal/expt pins both halves under -race).

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,13 +53,14 @@ type Config struct {
 	// production — a nil hook set is free.
 	Faults *expt.FaultHooks
 	// Journal, when non-nil, makes accepted jobs durable: every state
-	// transition is appended (and fsync'd) to the write-ahead log before
-	// it is acknowledged, and New replays the log — restoring terminal
-	// jobs byte-for-byte and re-enqueueing every non-terminal job for
-	// deterministic re-execution under its original ID, in its original
-	// submit order. The caller owns the journal's lifetime (open before
-	// New, close after Drain). Durability never perturbs result bytes:
-	// the journal sits entirely outside the execution path.
+	// transition is written to the write-ahead log, the accepted record
+	// is fsync'd before the submission is acknowledged, and New replays
+	// the log — restoring terminal jobs byte-for-byte and re-enqueueing
+	// every non-terminal job for deterministic re-execution under its
+	// original ID, in its original submit order. The caller owns the
+	// journal's lifetime (open before New, close after Drain).
+	// Durability never perturbs result bytes: the journal sits entirely
+	// outside the execution path.
 	Journal *journal.Journal
 }
 
@@ -100,8 +102,11 @@ func terminal(status string) bool {
 
 // job is one accepted batch.
 type job struct {
-	id   string
-	reqs []ExperimentRequest
+	id string
+	// reqs is the decoded batch, read by the worker and dropped once the
+	// job is terminal; total is its length, kept for status reporting.
+	reqs  []ExperimentRequest
+	total int
 	// idemKey/reqHash are the idempotency identity: the client's
 	// Idempotency-Key header (if any) and the hash of the canonicalized
 	// request, journaled with the accepted record so resubmissions
@@ -116,22 +121,27 @@ type job struct {
 	tenant   string
 	class    string
 	tenantSt *tenantState
-	// ctx is the job's cancellation root: canceled by DELETE
-	// /v1/jobs/{id} and by the drain deadline. The per-job execution
-	// deadline is layered on top at dequeue time.
-	ctx    context.Context
-	cancel context.CancelFunc
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// ctx is the job's cancellation root: canceled by DELETE
+	// /v1/jobs/{id} and by the drain deadline (both through abort). The
+	// per-job execution deadline is layered on top at dequeue time. A
+	// terminal job never runs again, so finish cancels ctx and drops it;
+	// cancel is then a no-op.
+	ctx       context.Context
+	cancel    context.CancelFunc
 	status    string
 	completed int
-	results   []json.RawMessage
-	errCode   string
-	errMsg    string
-	done      chan struct{} // closed on terminal state
+	// doc is a done job's result document: the compact JSON array of
+	// per-experiment results, the same bytes the journal's done record
+	// holds. handleResult renders the served body from it.
+	doc     json.RawMessage
+	errCode string
+	errMsg  string
+	done    chan struct{} // closed on terminal state
 	// events is the job's full progress history, ids 1..n — the SSE
 	// reconnect backlog. Bounded: one event per state transition plus one
-	// per completed experiment, so at most len(reqs)+3.
+	// per completed experiment, so at most total+3.
 	events []numberedEvent
 	subs   []chan numberedEvent
 }
@@ -159,7 +169,17 @@ type numberedEvent struct {
 
 // snapshotLocked builds the current progress event; callers hold j.mu.
 func (j *job) snapshotLocked() progressEvent {
-	return progressEvent{Status: j.status, Completed: j.completed, Total: len(j.reqs), Code: j.errCode, Error: j.errMsg}
+	return progressEvent{Status: j.status, Completed: j.completed, Total: j.total, Code: j.errCode, Error: j.errMsg}
+}
+
+// abort cancels the job's context: a queued job then ends canceled at
+// dequeue, and a running one is preempted mid-sweep. A no-op once the
+// job is terminal.
+func (j *job) abort() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	cancel()
 }
 
 // snapshot returns the job's current progress under its lock.
@@ -170,20 +190,22 @@ func (j *job) snapshot() progressEvent {
 }
 
 // finish moves the job to a terminal state exactly once: later callers
-// (a DELETE racing the worker, a worker racing drain) are no-ops. On any
-// non-done terminal state the result slots are dropped — a canceled or
-// failed job retains no partial results, by contract.
-func (j *job) finish(status, code, msg string) bool {
+// (a DELETE racing the worker, a worker racing drain) are no-ops. doc is
+// the result document of a done job and nil otherwise — a canceled or
+// failed job retains no partial results, by contract. A terminal job
+// never runs again, so its decoded request and its context are
+// released.
+func (j *job) finish(status, code, msg string, doc json.RawMessage) bool {
 	j.mu.Lock()
 	if terminal(j.status) {
 		j.mu.Unlock()
 		return false
 	}
-	j.status, j.errCode, j.errMsg = status, code, msg
-	if status != StatusDone {
-		j.results = nil
-	}
+	j.status, j.errCode, j.errMsg, j.doc = status, code, msg, doc
+	cancel := j.cancel
+	j.reqs, j.ctx, j.cancel = nil, nil, noCancel
 	j.mu.Unlock()
+	cancel()
 	close(j.done)
 	j.publish()
 	return true
@@ -230,6 +252,14 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
+	// committing holds journaled submissions whose accepted record is
+	// written but not yet synced, by id. They are not yet in jobs, count
+	// against QueueSize, and are reachable only through their
+	// Idempotency-Key. commitDone (on mu) is broadcast as each commit
+	// resolves; commits tracks them for DrainTimeout.
+	committing map[string]*job
+	commitDone *sync.Cond
+	commits    sync.WaitGroup
 	// cache is the content-addressed result index (cache.go), guarded by
 	// s.mu; nil when disabled.
 	cache *resultCache
@@ -279,7 +309,10 @@ func New(cfg Config) *Server {
 		cache:   newResultCache(cfg.CacheSize),
 		jobs:    make(map[string]*job),
 		idem:    make(map[string]string),
+
+		committing: make(map[string]*job),
 	}
+	s.commitDone = sync.NewCond(&s.mu)
 	s.avgJobNanos.Store(int64(time.Second)) // neutral prior until jobs complete
 	if cfg.Faults != nil {
 		s.env.SetFaults(cfg.Faults)
@@ -313,7 +346,6 @@ func (s *Server) recoverFromJournal() []*job {
 			}
 		}
 		jb := &job{id: st.ID, idemKey: st.Key, reqHash: st.ReqHash, tenant: st.Tenant, done: make(chan struct{})}
-		jb.ctx, jb.cancel = context.WithCancel(context.Background())
 		terminalState := st.Terminal()
 		if terminalState && st.Status == journal.TypeDone {
 			// Integrity check: result bytes must match their journaled
@@ -324,18 +356,24 @@ func (s *Server) recoverFromJournal() []*job {
 			}
 		}
 		if terminalState {
-			var results []json.RawMessage
-			if st.Status == journal.TypeDone {
-				if err := json.Unmarshal(st.Results, &results); err != nil {
-					// Undecodable results: re-execute instead.
-					terminalState = false
-				}
+			// The batch size is the length of a done job's results, or of a
+			// failed or canceled job's request (which never re-executes, so
+			// nothing else of it is kept).
+			var elems []json.RawMessage
+			if st.Status != journal.TypeDone {
+				json.Unmarshal(st.Request, &elems)
+			} else if err := json.Unmarshal(st.Results, &elems); err != nil {
+				// Undecodable results: re-execute instead.
+				terminalState = false
 			}
 			if terminalState {
 				jb.status = st.Status // journal terminal types match service statuses
 				jb.errCode, jb.errMsg = st.Code, st.Error
-				jb.results = results
-				jb.completed = len(results)
+				jb.total = len(elems)
+				if st.Status == journal.TypeDone {
+					jb.completed, jb.doc = len(elems), st.Results
+				}
+				jb.cancel = noCancel
 				close(jb.done)
 				jb.events = []numberedEvent{{ID: 1, progressEvent: jb.snapshotLocked()}}
 				s.jobs[jb.id] = jb
@@ -363,6 +401,7 @@ func (s *Server) recoverFromJournal() []*job {
 			jb.status = StatusFailed
 			jb.errCode = CodeInternal
 			jb.errMsg = fmt.Sprintf("journal recovery: request undecodable: %v", err)
+			jb.cancel = noCancel
 			close(jb.done)
 			jb.events = []numberedEvent{{ID: 1, progressEvent: jb.snapshotLocked()}}
 			s.jobs[jb.id] = jb
@@ -372,8 +411,8 @@ func (s *Server) recoverFromJournal() []*job {
 			continue
 		}
 		jb.status = StatusQueued
-		jb.reqs = reqs
-		jb.results = make([]json.RawMessage, len(reqs))
+		jb.reqs, jb.total = reqs, len(reqs)
+		jb.ctx, jb.cancel = context.WithCancel(context.Background())
 		// Restore the tenant's admission accounting: a re-enqueued job
 		// occupies its quota exactly as it did before the crash. A tenant
 		// name the current key file no longer declares resolves to
@@ -397,23 +436,39 @@ func (s *Server) recoverFromJournal() []*job {
 	return pending
 }
 
+// noCancel is the cancel func of a job without a context: a terminal
+// one, which never runs again.
+func noCancel() {}
+
 // hashBytes is the journal integrity/idempotency hash: hex SHA-256.
 func hashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// journalAppend appends best-effort: transitions after acceptance
-// (running, terminal, evicted) tolerate a journal write failure — the
-// in-memory job proceeds, and if the process dies before a later append
-// lands, recovery simply re-executes the job (at-least-once execution
-// with exactly-once-observable results, by determinism). Only the
-// accepted record is load-bearing and its failure rejects the submit.
-func (s *Server) journalAppend(rec journal.Record) {
-	if s.jr == nil {
-		return
+// journalWrite and journalAppend record a transition after acceptance
+// best-effort: a journal failure there leaves the in-memory job to
+// proceed, and if the process dies before the record lands, recovery
+// simply re-executes the job (at-least-once execution with
+// exactly-once-observable results, by determinism). Only the accepted
+// record is load-bearing and its failure rejects the submit.
+//
+// Which one a transition uses is the fsync rule: records recovery can
+// re-derive — running, done, evicted — are only written (losing one to
+// an OS crash re-executes or re-trims the job, reproducing identical
+// bytes; each is durable at the next sync or rotation), while failed
+// and canceled outcomes, which re-execution would not reproduce, are
+// appended (written and synced).
+func (s *Server) journalWrite(rec journal.Record) {
+	if s.jr != nil {
+		s.jr.Write(rec)
 	}
-	s.jr.Append(rec)
+}
+
+func (s *Server) journalAppend(rec journal.Record) {
+	if s.jr != nil {
+		s.jr.Append(rec)
+	}
 }
 
 // Start launches the worker pool and returns s.
@@ -448,14 +503,18 @@ func (s *Server) Drain() { s.DrainTimeout(0) }
 // job's context is canceled and the cancellation preempts in-flight
 // sweeps mid-shot-loop (the jobs end `canceled`, retaining no partial
 // results), after which the workers are certain to exit promptly.
-// timeout <= 0 means no deadline.
+// Submissions still committing their accepted record when the drain
+// starts are waited for first (a commit is one fsync) and then queued
+// like any accepted job; the deadline runs from there. timeout <= 0
+// means no deadline.
 func (s *Server) DrainTimeout(timeout time.Duration) {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		s.queue.close()
-	}
+	s.draining = true
 	s.mu.Unlock()
+	// No commit starts once draining is set (handleSubmit checks it
+	// under s.mu), so this wait is bounded.
+	s.commits.Wait()
+	s.queue.close()
 	if timeout <= 0 {
 		s.wg.Wait()
 		return
@@ -470,7 +529,7 @@ func (s *Server) DrainTimeout(timeout time.Duration) {
 	case <-time.After(timeout):
 		s.mu.Lock()
 		for _, jb := range s.jobs {
-			jb.cancel() // idempotent; terminal jobs ignore it
+			jb.abort() // terminal jobs ignore it
 		}
 		s.mu.Unlock()
 		<-done
@@ -575,37 +634,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, apiError{Code: CodeResourceExhausted, Reason: "draining", Message: "server is draining; resubmit elsewhere"})
+	// lockAdmission takes s.mu for the admission decision, first
+	// settling an Idempotency-Key that names a retained or committing
+	// job. It returns false when it has already answered the request.
+	if !s.lockAdmission(w, idemKey, reqHash) {
 		return
-	}
-	if idemKey != "" {
-		if id, ok := s.idem[idemKey]; ok {
-			if jb := s.jobs[id]; jb != nil {
-				if jb.reqHash != reqHash {
-					s.mu.Unlock()
-					writeError(w, http.StatusConflict, apiError{
-						Code:    CodeFailedPrecondition,
-						Reason:  "idempotency_key_mismatch",
-						Message: fmt.Sprintf("Idempotency-Key %q was already used for a different request", idemKey),
-					})
-					return
-				}
-				s.mu.Unlock()
-				// Replay: 200 (not 202) with the original job — the client
-				// polls the same id whether or not its first submission's
-				// response was lost to a crash or a dropped connection.
-				writeJSON(w, http.StatusOK, struct {
-					ID string `json:"id"`
-					progressEvent
-				}{ID: jb.id, progressEvent: jb.snapshot()})
-				return
-			}
-			// The job the key pointed at was evicted; treat as new.
-			delete(s.idem, idemKey)
-		}
 	}
 	// Content-addressed result cache: an unkeyed resubmission of a
 	// canonically identical batch is answered terminal-immediately with
@@ -644,8 +677,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Queue bound: push below never blocks (fairQueue is unbounded), so
-	// this check under s.mu is the whole admission decision.
-	if depth := s.queue.depth(); depth >= s.cfg.QueueSize {
+	// this check under s.mu is the whole admission decision. Jobs still
+	// committing will be queued, so they count.
+	if depth := s.queue.depth() + len(s.committing); depth >= s.cfg.QueueSize {
 		retry := s.retryAfterHint(depth)
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", retry)
@@ -662,22 +696,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
+	var seq uint64
 	if s.jr != nil {
-		// The accepted record is the durability point: it must be on disk
-		// before the id is exposed, so a crash after this response can
-		// never lose the job. A failed append rejects the submission —
-		// accepting work the journal cannot remember would silently void
-		// the crash-safety contract.
+		// The accepted record is the durability point. It is written here,
+		// under s.mu, so journal order is id order; it is synced below,
+		// outside s.mu, and the id is exposed only once it is on disk, so a
+		// crash after the response can never lose the job. A failed write
+		// rejects the submission — accepting work the journal cannot
+		// remember would silently void the crash-safety contract.
 		rec := journal.Accepted(id, idemKey, reqHash, canonical)
 		rec.Tenant = tenantName
-		if err := s.jr.Append(rec); err != nil {
+		if seq, err = s.jr.Write(rec); err != nil {
 			s.nextID-- // the id was never exposed; reuse it
 			s.mu.Unlock()
-			writeError(w, http.StatusInternalServerError, apiError{
-				Code:    CodeInternal,
-				Reason:  "journal_append_failed",
-				Message: fmt.Sprintf("could not journal the job: %v", err),
-			})
+			writeJournalFailed(w, err)
 			return
 		}
 	}
@@ -685,6 +717,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	jb := &job{
 		id:       id,
 		reqs:     req.Experiments,
+		total:    len(req.Experiments),
 		idemKey:  idemKey,
 		reqHash:  reqHash,
 		tenant:   tenantName,
@@ -693,22 +726,131 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ctx:      ctx,
 		cancel:   cancel,
 		status:   StatusQueued,
-		results:  make([]json.RawMessage, len(req.Experiments)),
 		done:     make(chan struct{}),
 	}
-	tenant.acquire(len(req.Experiments))
+	tenant.acquire(jb.total)
 	jb.events = []numberedEvent{{ID: 1, progressEvent: jb.snapshotLocked()}}
-	s.queue.push(jb)
-	s.jobs[jb.id] = jb
 	if idemKey != "" {
 		s.idem[idemKey] = jb.id
 	}
-	s.mu.Unlock()
+	if s.jr == nil {
+		s.enqueueLocked(jb)
+		s.mu.Unlock()
+	} else if err := s.commit(jb, seq); err != nil {
+		writeJournalFailed(w, err)
+		return
+	}
 	writeJSON(w, http.StatusAccepted, struct {
 		ID     string `json:"id"`
 		Status string `json:"status"`
 		Total  int    `json:"total"`
-	}{ID: jb.id, Status: StatusQueued, Total: len(jb.reqs)})
+	}{ID: jb.id, Status: StatusQueued, Total: jb.total})
+}
+
+// lockAdmission locks s.mu for handleSubmit's admission decision and
+// resolves the request's Idempotency-Key first: a key naming a
+// retained job is answered 200 with that job (409 if the request
+// differs), and a key naming a job whose accepted record is still
+// committing waits for that commit and then looks again — so it gets
+// the same job once committed, or is admitted afresh if the commit
+// failed. It returns with s.mu held and true when the request should
+// proceed to admission, and with s.mu released and false when it has
+// written the response.
+func (s *Server) lockAdmission(w http.ResponseWriter, idemKey, reqHash string) bool {
+	s.mu.Lock()
+	for {
+		if s.draining {
+			s.mu.Unlock()
+			writeError(w, http.StatusServiceUnavailable, apiError{Code: CodeResourceExhausted, Reason: "draining", Message: "server is draining; resubmit elsewhere"})
+			return false
+		}
+		if idemKey == "" {
+			return true
+		}
+		id, ok := s.idem[idemKey]
+		if !ok {
+			return true
+		}
+		jb, pending := s.jobs[id], s.committing[id]
+		if jb == nil && pending == nil {
+			// The job the key pointed at was evicted; treat as new.
+			delete(s.idem, idemKey)
+			return true
+		}
+		if jb == nil {
+			jb = pending
+		}
+		if jb.reqHash != reqHash {
+			s.mu.Unlock()
+			writeError(w, http.StatusConflict, apiError{
+				Code:    CodeFailedPrecondition,
+				Reason:  "idempotency_key_mismatch",
+				Message: fmt.Sprintf("Idempotency-Key %q was already used for a different request", idemKey),
+			})
+			return false
+		}
+		if pending != nil {
+			s.commitDone.Wait()
+			continue
+		}
+		s.mu.Unlock()
+		// Replay: 200 (not 202) with the original job — the client
+		// polls the same id whether or not its first submission's
+		// response was lost to a crash or a dropped connection.
+		writeJSON(w, http.StatusOK, struct {
+			ID string `json:"id"`
+			progressEvent
+		}{ID: jb.id, progressEvent: jb.snapshot()})
+		return false
+	}
+}
+
+// commit makes a journaled submission durable: called with s.mu held
+// and jb's accepted record written through seq, it releases s.mu for
+// the group-commit fsync, then queues the job. A failed sync removes
+// the job and undoes its admission instead; the caller answers 500.
+// commit returns with s.mu released.
+func (s *Server) commit(jb *job, seq uint64) error {
+	s.committing[jb.id] = jb
+	s.commits.Add(1)
+	defer s.commits.Done()
+	s.mu.Unlock()
+	err := s.jr.Sync(seq)
+	s.mu.Lock()
+	delete(s.committing, jb.id)
+	s.commitDone.Broadcast()
+	if err == nil {
+		s.enqueueLocked(jb)
+	} else {
+		if jb.idemKey != "" && s.idem[jb.idemKey] == jb.id {
+			delete(s.idem, jb.idemKey)
+		}
+		jb.tenantSt.release(jb.total)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		jb.cancel()
+		// The record may still reach disk; tombstone it so recovery does
+		// not run a job whose client was told it failed.
+		s.journalWrite(journal.Evicted(jb.id))
+	}
+	return err
+}
+
+// enqueueLocked makes an accepted job visible and queues it; callers
+// hold s.mu.
+func (s *Server) enqueueLocked(jb *job) {
+	s.jobs[jb.id] = jb
+	s.queue.push(jb)
+}
+
+// writeJournalFailed answers a submission the journal could not record.
+func writeJournalFailed(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusInternalServerError, apiError{
+		Code:    CodeInternal,
+		Reason:  "journal_append_failed",
+		Message: fmt.Sprintf("could not journal the job: %v", err),
+	})
 }
 
 // retryAfterHint derives a Retry-After value (whole seconds, the HTTP
@@ -766,7 +908,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if jb == nil {
 		return
 	}
-	jb.cancel()
+	jb.abort()
 	// A queued job has no worker to observe the canceled context until
 	// dequeue; finish it now so the client sees `canceled` immediately.
 	// finish is a no-op if the job is running (the worker owns the
@@ -776,7 +918,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	queued := jb.status == StatusQueued
 	jb.mu.Unlock()
 	if queued {
-		s.finishJob(jb, StatusCanceled, CodeCanceled, "canceled before execution started")
+		s.finishJob(jb, StatusCanceled, CodeCanceled, "canceled before execution started", nil)
 	}
 	ev := jb.snapshot()
 	writeJSON(w, http.StatusOK, struct {
@@ -803,17 +945,18 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jb.mu.Lock()
-	status, errCode, errMsg := jb.status, jb.errCode, jb.errMsg
-	results := append([]json.RawMessage(nil), jb.results...)
+	status, errCode, errMsg, doc := jb.status, jb.errCode, jb.errMsg, jb.doc
 	jb.mu.Unlock()
 	switch status {
 	case StatusDone:
 		// The body deliberately excludes the job id and any timing:
 		// identical requests must produce byte-identical result
-		// documents (the service determinism contract).
+		// documents (the service determinism contract). The encoder
+		// compacts a RawMessage before indenting it, so rendering the
+		// compact array gives the same bytes as rendering its elements.
 		writeJSON(w, http.StatusOK, struct {
-			Results []json.RawMessage `json:"results"`
-		}{Results: results})
+			Results json.RawMessage `json:"results"`
+		}{Results: doc})
 	case StatusFailed, StatusCanceled:
 		// No result body ever leaves a failed or canceled job — the error
 		// envelope carries the job's terminal taxonomy code instead.
@@ -868,13 +1011,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	jb.subs = append(jb.subs, ch)
 	jb.mu.Unlock()
 	defer func() {
+		// DeleteFunc clears the vacated slot, so a retained job does not
+		// keep the channel's buffer alive.
 		jb.mu.Lock()
-		for i, c := range jb.subs {
-			if c == ch {
-				jb.subs = append(jb.subs[:i], jb.subs[i+1:]...)
-				break
-			}
-		}
+		jb.subs = slices.DeleteFunc(jb.subs, func(c chan numberedEvent) bool { return c == ch })
 		jb.mu.Unlock()
 	}()
 
@@ -941,6 +1081,10 @@ type healthJournal struct {
 	// TruncatedBytes/DroppedSegments report the torn-tail repair, if any.
 	TruncatedBytes  int64 `json:"truncated_bytes"`
 	DroppedSegments int   `json:"dropped_segments"`
+	// Appends/Fsyncs count records written and fsyncs issued since
+	// startup; their ratio is the group commit's records per fsync.
+	Appends uint64 `json:"appends"`
+	Fsyncs  uint64 `json:"fsyncs"`
 }
 
 // healthQueue is the /healthz fair-queue block: total depth plus the
@@ -960,12 +1104,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	var hj *healthJournal
 	if s.jr != nil {
-		st := s.jr.Stats()
+		st, n := s.jr.Stats(), s.jr.Counters()
 		hj = &healthJournal{
 			RecoveredJobs:   s.recovered,
 			Reenqueued:      s.reenqueued,
 			TruncatedBytes:  st.TruncatedBytes,
 			DroppedSegments: st.DroppedSegments,
+			Appends:         n.Appends,
+			Fsyncs:          n.Fsyncs,
 		}
 	}
 	s.mu.Unlock()
@@ -992,29 +1138,33 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // errors, injected faults, recovered worker panics — failed with code
 // `internal`.
 func (s *Server) runJob(jb *job) {
-	// A job canceled while still queued never starts. (handleCancel
-	// usually records this itself; this path wins the race where cancel
-	// and dequeue interleave.)
-	if jb.ctx.Err() != nil {
-		s.finishJob(jb, StatusCanceled, CodeCanceled, "canceled before execution started")
-		return
-	}
-	ctx, cancel := context.WithTimeout(jb.ctx, s.cfg.JobTimeout)
-	defer cancel()
-
 	jb.mu.Lock()
 	if terminal(jb.status) {
-		// A DELETE finished the job between dequeue and here.
+		// A DELETE finished the job while it was queued.
 		jb.mu.Unlock()
 		return
 	}
+	root := jb.ctx
+	if root.Err() != nil {
+		// A job canceled while still queued never starts. (handleCancel
+		// usually records this itself; this path wins the race where
+		// cancel and dequeue interleave, and it is how the drain deadline
+		// ends queued jobs.)
+		jb.mu.Unlock()
+		s.finishJob(jb, StatusCanceled, CodeCanceled, "canceled before execution started", nil)
+		return
+	}
 	jb.status = StatusRunning
+	reqs := jb.reqs
 	jb.mu.Unlock()
+	ctx, cancel := context.WithTimeout(root, s.cfg.JobTimeout)
+	defer cancel()
 	jb.publish()
-	s.journalAppend(journal.Running(jb.id))
+	s.journalWrite(journal.Running(jb.id))
 
 	start := time.Now()
-	for i, req := range jb.reqs {
+	results := make([]json.RawMessage, len(reqs))
+	for i, req := range reqs {
 		res, err := Execute(ctx, s.env, req)
 		if err != nil {
 			code := classifyErr(err)
@@ -1022,7 +1172,7 @@ func (s *Server) runJob(jb *job) {
 			if code == CodeCanceled {
 				status = StatusCanceled
 			}
-			s.finishJob(jb, status, code, jobErrorMessage(i, req.Type, err))
+			s.finishJob(jb, status, code, jobErrorMessage(i, req.Type, err), nil)
 			return
 		}
 		jb.mu.Lock()
@@ -1033,61 +1183,70 @@ func (s *Server) runJob(jb *job) {
 			jb.mu.Unlock()
 			return
 		}
-		jb.results[i] = res
+		results[i] = res
 		jb.completed = i + 1
 		jb.mu.Unlock()
 		jb.publish()
 	}
-	s.finishJob(jb, StatusDone, "", "")
+	doc, err := json.Marshal(results)
+	if err != nil {
+		s.finishJob(jb, StatusFailed, CodeInternal, fmt.Sprintf("encoding results: %v", err), nil)
+		return
+	}
+	s.finishJob(jb, StatusDone, "", "", doc)
 	// Completed executions feed the Retry-After estimator; aborted ones
 	// would bias it toward zero.
 	s.observeJobDuration(time.Since(start))
 }
 
 // finishJob is the single terminal-transition point: move the job to a
-// terminal state (exactly once), journal the transition, and retire it
-// into the retention window. The journal append is best-effort and
-// happens after the in-memory transition — if the process dies in
-// between, recovery re-executes the job and determinism reproduces the
-// identical bytes.
-func (s *Server) finishJob(jb *job, status, code, msg string) {
-	if !jb.finish(status, code, msg) {
+// terminal state (exactly once), retire it into the retention window,
+// and journal the transition. doc is a done job's
+// result document.
+//
+// The transition and the retire share one s.mu critical section, so a
+// client that observes the terminal state finds the retire done on its
+// next request: quota released, result cached, older jobs evicted. The
+// journal record is best-effort and lands after the in-memory
+// transition — if the process dies in between, recovery re-executes the
+// job and determinism reproduces the identical bytes. The done record
+// shares doc's bytes, so the result is held once.
+func (s *Server) finishJob(jb *job, status, code, msg string, doc json.RawMessage) {
+	s.mu.Lock()
+	won := jb.finish(status, code, msg, doc)
+	if won {
+		s.retireLocked(jb, status == StatusDone)
+	}
+	s.mu.Unlock()
+	if !won {
 		return
 	}
 	if s.jr != nil {
 		switch status {
 		case StatusDone:
-			jb.mu.Lock()
-			results, err := json.Marshal(jb.results)
-			jb.mu.Unlock()
-			if err == nil {
-				s.journalAppend(journal.Done(jb.id, hashBytes(results), results))
-			}
+			s.journalWrite(journal.Done(jb.id, hashBytes(doc), doc))
 		case StatusCanceled:
 			s.journalAppend(journal.Canceled(jb.id, code, msg))
 		default:
 			s.journalAppend(journal.Failed(jb.id, code, msg))
 		}
 	}
-	s.retire(jb)
 }
 
-// retire records a terminal job and evicts the oldest finished jobs
-// beyond the retention bound, so a long-lived server's result store
+// retireLocked records a terminal job and evicts the oldest finished
+// jobs beyond the retention bound, so a long-lived server's result store
 // stays finite. Evictions are journaled (tombstones compacted away at
 // the next rotation), so the bound holds across restarts too. Retire is
 // also where the job's admission charge is settled: the tenant quota is
 // released exactly once, and a completed job is indexed into the
 // content-addressed cache (a failed or canceled one is not — only done
-// jobs carry the canonical result document).
-func (s *Server) retire(jb *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// jobs carry the canonical result document). Callers hold s.mu.
+func (s *Server) retireLocked(jb *job, done bool) {
 	if jb.tenantSt != nil {
-		jb.tenantSt.release(len(jb.reqs))
+		jb.tenantSt.release(jb.total)
 		jb.tenantSt = nil
 	}
-	if s.cache != nil && jb.reqHash != "" && jb.snapshot().Status == StatusDone {
+	if done && s.cache != nil && jb.reqHash != "" {
 		s.cache.insert(jb.reqHash, jb.id)
 	}
 	s.retired = append(s.retired, jb.id)
@@ -1111,6 +1270,6 @@ func (s *Server) trimRetiredLocked() {
 			}
 		}
 		delete(s.jobs, id)
-		s.journalAppend(journal.Evicted(id))
+		s.journalWrite(journal.Evicted(id))
 	}
 }
