@@ -14,7 +14,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"density", "auto", 1, 0, 0, replay.ModeAuto},
 		{"trajectory", "compiled", 10000, 0, 8, replay.ModeCompiled},
-		{"trajectory", "interp", 2, 1, 0, replay.ModeInterp},
+		{"trajectory", "interp", 2, 1, 0, replay.ModeCompiled}, // legacy spelling
 		{"density", "off", 5, 8, 1, replay.ModeOff},
 		{"density", "", 1, 0, 0, replay.ModeAuto},
 	}

@@ -93,8 +93,9 @@
 // internal/replay exploits the paper's own architectural split — a
 // deterministic classical microarchitecture driving a stochastic quantum
 // substrate — to avoid re-simulating the deterministic half per shot.
-// The shot loop of every experiment lives in the engine (replay.Run with
-// Shots as a parameter), not in the assembly Round_Loop. In ModeAuto the
+// The shot loop of every experiment lives in the engine (replay.RunBatch,
+// whose one-lane form is replay.Run, with Shots as a parameter), not in
+// the assembly Round_Loop. In ModeAuto the
 // engine runs three leading shots through the full pipeline (shot 0
 // carries the cold-start transient; shots 1 and 2 are recorded via
 // core.Probe), then replays the recorded quantum schedule — idle
@@ -130,19 +131,19 @@
 //
 // # Compiled replay schedules
 //
-// Replay's default engine compiles the recorded schedule once into
-// specialized closure-free steps (internal/replay/compile.go lowering
-// into qphys.SchedOp) instead of interpreting it op-by-op; ModeInterp
-// keeps the interpreter as the A/B baseline. The compiled-schedule
-// invariants:
+// Replay compiles the recorded schedule once into specialized
+// closure-free steps (internal/replay/compile.go lowering into
+// qphys.SchedOp) bound to the trajectory or density backend; a backend
+// without a compiled executor runs the full pipeline. The
+// compiled-schedule invariants:
 //
 //   - PRNG-order preservation. Compilation never adds, removes, or
 //     reorders a PRNG draw: one variate per multi-operator channel in
 //     recorded TD order, then the projection and integration draws of
 //     each measurement. Every pricing decision feeds on the same float64
-//     inputs as the interpreted path, so the selected Kraus operators,
-//     outcomes, and results are bit-identical across off/interp/compiled
-//     for every decoherent configuration. Two qualified slacks remain:
+//     inputs as the full pipeline's ApplyKraus1, so the selected Kraus
+//     operators, outcomes, and results are bit-identical across
+//     off/compiled for every decoherent configuration. Two qualified slacks remain:
 //     the sign of zeros from real-coefficient scaling (observable by
 //     nothing), and — only when decoherence is disabled outright —
 //     unitary fusion, which makes amplitudes float-equivalent rather
@@ -162,8 +163,8 @@
 //   - Devirtualized dispatch. A type switch binds the whole shot loop to
 //     the concrete backend: *qphys.Trajectory runs one RunSchedule pass
 //     per shot with the hot channel path inlined, *qphys.Density gets
-//     direct concrete-type calls and hoisted operator/conjugate tables,
-//     and a qphys.State interface fallback covers future backends.
+//     direct concrete-type calls and hoisted operator/conjugate tables;
+//     any other backend runs the full pipeline on every shot.
 //   - Zero allocations per shot. All scratch (step slice, tables,
 //     measurement buffer) is allocated at compile time, and the compiled
 //     form is memoized on the machine (core.Machine.ReplayCache, keyed
@@ -212,7 +213,7 @@
 // concurrency, queue order, worker count, or which pooled machine
 // served it. internal/conformance adds the randomized differential
 // layer that keeps the whole execution matrix — {density, trajectory} ×
-// {off, interp, auto, compiled} — agreeing on generated programs, safe
+// {off, auto, compiled} — agreeing on generated programs, safe
 // and unsafe alike. See the package documentation of internal/service
 // for the API and the invariant list.
 //

@@ -70,8 +70,9 @@ type Config struct {
 	Backend Backend
 	// Qubit holds per-qubit coherence/control parameters; missing entries
 	// default to qphys.DefaultQubitParams. After New the values are
-	// captured by the machine's decoherence-channel cache — change them
-	// via Machine.SetQubitParams, not by writing Cfg.Qubit directly.
+	// captured by the machine's decoherence-channel cache, which survives
+	// ResetState: they are fixed for the machine's lifetime — build a new
+	// machine for other qubit parameters.
 	Qubit []qphys.QubitParams
 	// Readout configures the measurement chain (shared calibration).
 	Readout readout.Params
@@ -174,10 +175,10 @@ type Machine struct {
 	// rotation/decoherence cache entries, which also survive, and the
 	// engine validates every entry against the freshly recorded schedule
 	// before reuse, so a stale entry can only miss, never corrupt. It is
-	// cleared wholesale by UploadPulse and SetQubitParams: those
-	// invalidate the aliased cache entries, leaving every compiled
-	// schedule permanently stale — dropping them bounds the memo to live
-	// programs over a machine pooled for a service lifetime.
+	// cleared wholesale by UploadPulse, the one method that invalidates
+	// aliased cache entries (leaving compiled schedules permanently
+	// stale) — dropping them bounds the memo to live programs over a
+	// machine pooled for a service lifetime.
 	ReplayCache any
 	// PulsesPlayed counts codeword-triggered playbacks.
 	PulsesPlayed uint64
@@ -370,27 +371,6 @@ func (m *Machine) UploadPulse(q int, cw awg.Codeword, name string, w pulse.Wavef
 	}
 	// Compiled replay schedules alias the invalidated rotation entries;
 	// they would fail validation forever, so drop them now.
-	m.ReplayCache = nil
-	return nil
-}
-
-// SetQubitParams replaces qubit q's coherence/control parameters and
-// invalidates the cached decoherence channels built from the old values.
-// Mutating Cfg.Qubit directly is not supported: advance() memoizes the
-// Kraus sets per (qubit, duration), so direct writes after New would be
-// silently ignored for already-seen idle durations.
-func (m *Machine) SetQubitParams(q int, p qphys.QubitParams) error {
-	if q < 0 || q >= m.Cfg.NumQubits {
-		return fmt.Errorf("core: no qubit %d", q)
-	}
-	m.Cfg.Qubit[q] = p
-	for k := range m.decoCache {
-		if k.q == q {
-			delete(m.decoCache, k)
-		}
-	}
-	// Compiled replay schedules alias the invalidated Kraus sets; drop
-	// them (see UploadPulse).
 	m.ReplayCache = nil
 	return nil
 }

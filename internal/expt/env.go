@@ -227,7 +227,7 @@ func (e *Env) RunProgram(ctx context.Context, cfg core.Config, p ProgramParams) 
 	}
 	res.Replayed = stats.Replayed
 	res.Safe = stats.Safe
-	res.Compiled = stats.Compiled
+	res.Compiled = stats.Safe
 	res.StreamHash = h.Sum64()
 	return res, nil
 }

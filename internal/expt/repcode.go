@@ -53,12 +53,11 @@ type RepCodeParams struct {
 	// shard — same seeds, same streams). Results are bit-identical for
 	// any value; see shotshard.go.
 	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff,
-	// ModeInterp, or ModeCompiled (default auto = compiled). Results are
-	// bit-identical for any value — see internal/replay; interp vs
-	// compiled is the A/B knob for the per-schedule compiler. The
-	// feedback-corrected variant always falls back to full simulation:
-	// its pulse schedule depends on the measured syndromes.
+	// Replay selects the shot-replay engine mode: replay.ModeOff or
+	// ModeCompiled (default auto = compiled). Results are bit-identical
+	// for either value — see internal/replay. The feedback-corrected
+	// variant always falls back to full simulation: its pulse schedule
+	// depends on the measured syndromes.
 	Replay replay.Mode
 }
 

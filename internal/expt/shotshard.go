@@ -5,8 +5,8 @@ package expt
 // fixed shard plan — a pure function of the shot count, never of the
 // worker count, exactly like chunkRounds one level up — and every shard
 // runs on its own pooled machine, seeded with DeriveSeed(pointSeed,
-// shardIndex), through its own replay.Run invocation (lead/detect shots
-// plus its slice of the replay loop). Results merge in shard order, so
+// shardIndex), as one lane of a replay.RunBatch invocation (lead/detect
+// shots plus its slice of the replay loop). Results merge in shard order, so
 // the outcome is bit-identical for any ShotWorkers value given the same
 // plan. The contract, extending the sweep determinism contract:
 //
@@ -30,7 +30,7 @@ package expt
 //     siblings' context (they abort within the engine's bounded-
 //     staleness window); a shard panic is recovered into *PanicError at
 //     the shard boundary (its machine is discarded, not pooled — the
-//     runShotJob unwind rule). The job's error is the outer ctx error
+//     runGroup unwind rule). The job's error is the outer ctx error
 //     if the caller was preempted, else the lowest-index non-ctx shard
 //     error — so a panic is never masked by the sibling aborts it
 //     caused, and the service taxonomy (internal vs canceled) is stable
@@ -140,15 +140,15 @@ func LaneGroups(plan []int, lanes int) [][2]int {
 // batchLanes > 1 opts eligible shards into lockstep batching: groups of
 // consecutive equal-size shards (LaneGroups) run as one replay.RunBatch
 // invocation — per-lane machines, seeds, and streams unchanged — with
-// up to shotWorkers groups in flight instead of shards. Modes without a
-// batched executor (off, interp) ignore the knob. Result bytes are
+// up to shotWorkers groups in flight instead of shards. ModeOff, which
+// has no batched executor, ignores the knob. Result bytes are
 // identical for every batchLanes value by the per-lane bit-identity
 // contract.
 //
 // setup runs on every shard's machine (the pooled-machine rule for
 // machine customization). onShot, when non-nil, receives every shot in
 // global order after the run completes; the fault-injection Shot hook,
-// by contrast, fires live inside each shard's loop (runShotJob wraps
+// by contrast, fires live inside each shard's loop (runGroup wraps
 // the per-shard callback), so injected panics and slowness land
 // mid-shard. finishShard runs per shard, with that shard's machine
 // still in hand, as the shard completes — callers must write only
@@ -167,8 +167,8 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 		if plan != nil {
 			seed = DeriveSeed(pointSeed, 0)
 		}
-		err := runShotJob(ctx, mp, seed, prog, shots, 0, mode, setup, onShot,
-			func(m *core.Machine, st replay.Stats) error {
+		err := runGroup(ctx, mp, prog, shots, mode, []shotLane{{seed: seed, onShot: onShot}}, setup,
+			func(_ int, m *core.Machine, st replay.Stats) error {
 				merged = st
 				if finishShard != nil {
 					return finishShard(0, m, st)
@@ -190,107 +190,40 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 	sctx, cancelShards := context.WithCancel(ctx)
 	defer cancelShards()
 	lanes := batchLanes
-	if mode == replay.ModeOff || mode == replay.ModeInterp {
-		// No batched executor for these modes: singleton groups keep the
-		// per-shard scheduling (one shard per pool slot).
+	if mode == replay.ModeOff {
+		// Full-pipeline shots have no batched executor: singleton groups
+		// keep the per-shard scheduling (one shard per pool slot).
 		lanes = 1
 	}
 	groups := LaneGroups(plan, lanes)
 	bufs := make([]shardStream, len(plan))
 	statsv := make([]replay.Stats, len(plan))
 	errs := make([]error, len(plan))
-	runShard := func(k int) error {
-		var s shardStream
-		var cb func(int, []replay.MD)
-		if onShot != nil {
-			s.lens = make([]int, 0, plan[k])
-			cb = func(_ int, md []replay.MD) {
-				s.md = append(s.md, md...)
-				s.lens = append(s.lens, len(md))
-			}
-		}
-		err := runShotJob(sctx, mp, DeriveSeed(pointSeed, k), prog, plan[k], starts[k], mode, setup, cb,
-			func(m *core.Machine, st replay.Stats) error {
-				statsv[k] = st
-				if finishShard != nil {
-					return finishShard(k, m, st)
-				}
-				return nil
-			})
-		if err == nil {
-			bufs[k] = s
-		}
-		return err
-	}
-	// runBatchGroup runs shards [g0, g1) as one lockstep batch: lane j is
-	// shard g0+j, with its sharded seed, global BaseShot, buffered stream
-	// slot, and live fault hook — exactly the scalar shard's wiring. The
-	// machine returns are deliberately not deferred (the runShotJob
-	// unwind rule): a panic anywhere in the batch discards every machine
-	// of the group.
-	runBatchGroup := func(g0, g1 int) error {
-		n := g1 - g0
-		ms := make([]*core.Machine, 0, n)
-		bl := make([]replay.BatchLane, 0, n)
-		ss := make([]shardStream, n)
-		for k := g0; k < g1; k++ {
-			m, err := mp.get(DeriveSeed(pointSeed, k))
-			if err != nil {
-				for _, pm := range ms {
-					mp.put(pm)
-				}
-				return err
-			}
-			ms = append(ms, m)
-			if setup != nil {
-				if err := setup(m); err != nil {
-					for _, pm := range ms {
-						mp.put(pm)
-					}
-					return err
-				}
-			}
-			var cb func(int, []replay.MD)
+	// runShards runs shards [g0, g1) as one group: lane j is shard g0+j,
+	// with its sharded seed, global BaseShot and buffered stream slot. A
+	// failed group's buffers are never delivered.
+	runShards := func(g0, g1 int) error {
+		gl := make([]shotLane, g1-g0)
+		for j := range gl {
+			k := g0 + j
+			gl[j] = shotLane{seed: DeriveSeed(pointSeed, k), base: starts[k]}
 			if onShot != nil {
-				s := &ss[k-g0]
+				s := &bufs[k]
 				s.lens = make([]int, 0, plan[k])
-				cb = func(_ int, md []replay.MD) {
+				gl[j].onShot = func(_ int, md []replay.MD) {
 					s.md = append(s.md, md...)
 					s.lens = append(s.lens, len(md))
 				}
 			}
-			if h := mp.faults; h != nil && h.Shot != nil {
-				inner := cb
-				cb = func(shot int, md []replay.MD) {
-					if inner != nil {
-						inner(shot, md)
-					}
-					h.Shot(shot)
-				}
-			}
-			bl = append(bl, replay.BatchLane{M: m, BaseShot: starts[k], OnShot: cb})
 		}
-		sts, err := replay.RunBatch(sctx, prog, bl, plan[g0], mode)
-		if err == nil {
-			for j := 0; j < n; j++ {
-				statsv[g0+j] = sts[j]
+		return runGroup(sctx, mp, prog, plan[g0], mode, gl, setup,
+			func(j int, m *core.Machine, st replay.Stats) error {
+				statsv[g0+j] = st
 				if finishShard != nil {
-					if err = finishShard(g0+j, ms[j], sts[j]); err != nil {
-						break
-					}
+					return finishShard(g0+j, m, st)
 				}
-			}
-		}
-		for _, m := range ms {
-			mp.put(m)
-		}
-		if err != nil {
-			return err
-		}
-		for j := 0; j < n; j++ {
-			bufs[g0+j] = ss[j]
-		}
-		return nil
+				return nil
+			})
 	}
 	poolErr := runPool(sctx, len(groups), shotWorkers, func(gi int) error {
 		g0, g1 := groups[gi][0], groups[gi][1]
@@ -298,12 +231,7 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 		// reaches cancelShards: a panicking shard must abort its
 		// siblings exactly like an erroring one. The machine discard
 		// happens regardless — the panic unwinds past the puts.
-		err := recoverJob(func(int) error {
-			if g1-g0 == 1 {
-				return runShard(g0)
-			}
-			return runBatchGroup(g0, g1)
-		}, gi)
+		err := recoverJob(func(int) error { return runShards(g0, g1) }, gi)
 		if err != nil {
 			errs[g0] = err
 			cancelShards()

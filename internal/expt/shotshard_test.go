@@ -87,7 +87,7 @@ func TestRunProgramStreamIdenticalAcrossShotWorkers(t *testing.T) {
 	src := "mov r15, 40\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nMPG {q1}, 300\nMD {q1}, r8\nhalt\n"
 	env := NewEnv()
 	var ref *ProgramResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeInterp, replay.ModeCompiled} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled} {
 		for _, sw := range shardWorkerCounts() {
 			res, err := env.RunProgram(context.Background(), cfg, ProgramParams{Source: src, Shots: 552, Replay: mode, ShotWorkers: sw})
 			if err != nil {
@@ -172,8 +172,8 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 		}
 	}
 
-	// Legacy reconstruction: one runShotJob per (variant, chunk) with the
-	// historical seed DeriveSeed2(cfg.Seed, variant+1, chunk).
+	// Legacy reconstruction: one one-lane runGroup per (variant, chunk)
+	// with the historical seed DeriveSeed2(cfg.Seed, variant+1, chunk).
 	runCfg := cfg
 	runCfg.NumQubits = 5
 	for len(runCfg.Qubit) < 5 {
@@ -205,12 +205,12 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 		}
 		errs := 0
 		for k, rounds := range chunks {
-			err := runShotJob(context.Background(), pool, DeriveSeed2(runCfg.Seed, v+1, k), prog, rounds, 0, p.Replay, nil,
-				func(_ int, md []replay.MD) {
-					if variant.isError(md) {
-						errs++
-					}
-				}, nil)
+			lane := shotLane{seed: DeriveSeed2(runCfg.Seed, v+1, k), onShot: func(_ int, md []replay.MD) {
+				if variant.isError(md) {
+					errs++
+				}
+			}}
+			err := runGroup(context.Background(), pool, prog, rounds, p.Replay, []shotLane{lane}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestRunProgramStreamIdenticalAcrossBatchLanes(t *testing.T) {
 	src := "mov r15, 40\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nMPG {q1}, 300\nMD {q1}, r8\nhalt\n"
 	env := NewEnv()
 	var ref *ProgramResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeInterp, replay.ModeCompiled, replay.ModeAuto} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled, replay.ModeAuto} {
 		for _, lanes := range []int{0, 1, 2, 3, 8} {
 			for _, sw := range []int{1, 4} {
 				res, err := env.RunProgram(context.Background(), cfg, ProgramParams{Source: src, Shots: 552, Replay: mode, ShotWorkers: sw, BatchLanes: lanes})

@@ -97,8 +97,8 @@ func (e *PanicError) Error() string {
 }
 
 // recoverJob runs job(i), converting a panic into a *PanicError. A
-// panicking job unwinds past runShotJob's machine-return path, so the
-// machine it was driving — whose state is unknowable mid-panic — is
+// panicking job unwinds past runGroup's machine-return path, so the
+// machines it was driving — whose state is unknowable mid-panic — are
 // discarded to the garbage collector rather than pooled.
 func recoverJob(job func(i int) error, i int) (err error) {
 	defer func() {
@@ -247,7 +247,7 @@ type FaultHooks struct {
 // determinism contract (results independent of worker count and of which
 // machine served which point) is preserved. Two caveats ride along:
 // custom LUT uploads and µop definitions survive the reset, so a
-// runShotJob setup that customizes the machine must do so
+// runGroup setup that customizes the machine must do so
 // unconditionally on every point (see Machine.ResetState); and a machine
 // whose job panicked is never returned here — its state is unknowable,
 // so it is discarded and the pool rebuilds on the next get.
@@ -278,51 +278,72 @@ func (mp *machinePool) get(seed int64) (*core.Machine, error) {
 
 func (mp *machinePool) put(m *core.Machine) { mp.pool.Put(m) }
 
-// runShotJob executes one sweep point (or one shard of a shot-sharded
-// point — see runShotJobSharded): acquire a pooled machine under the
-// given seed, run optional per-point setup (e.g. a pulse upload), execute
-// the per-shot program `shots` times through the replay engine, and hand
-// the machine to finish for result extraction before returning it to the
-// pool. base is the global index of this job's first shot (0 for an
-// unsharded point): the engine reports shot indices offset by it, so
-// OnShot callbacks and the fault-injection Shot hook observe global shot
-// numbering whichever shard they run on.
+// shotLane is one lane of a shot group: the seed its pooled machine is
+// reset to, the global index of its first shot, and its per-shot
+// callback.
+type shotLane struct {
+	seed   int64
+	base   int
+	onShot func(int, []replay.MD)
+}
+
+// runGroup executes one group of equal-size shot jobs — a whole sweep
+// point, or one or more shards of a shot-sharded point (see
+// runShotJobSharded) — as one replay.RunBatch call: acquire a pooled
+// machine per lane under the lane's seed, run optional per-point setup
+// (e.g. a pulse upload) on each, run the per-shot program `shots` times
+// on every lane, and hand each lane's machine and stats to finish for
+// result extraction before returning the machines to the pool. The
+// engine reports shot indices offset by each lane's base, so OnShot
+// callbacks and the fault-injection Shot hook — which fires live inside
+// the engine's loop — observe global shot numbering whichever shard
+// they run on.
 //
-// The machine return is deliberately not deferred: a panic anywhere in
-// the point (engine, callbacks, injected fault) unwinds past the put, so
-// a machine in an unknowable post-panic state is discarded rather than
-// pooled. Every non-panic exit returns the machine — including a
-// canceled run, because ResetState restores a preempted machine to a
-// state bit-identical to fresh construction (the cancellation tests
-// reuse a pool across a cancel and assert bit-identity).
-func runShotJob(ctx context.Context, mp *machinePool, seed int64, prog *isa.Program, shots, base int, mode replay.Mode,
+// The machine returns are deliberately not deferred: a panic anywhere in
+// the group (engine, callbacks, injected fault) unwinds past the puts,
+// so every machine of the group, in an unknowable post-panic state, is
+// discarded rather than pooled. Every non-panic exit returns the
+// machines — including a canceled run, because ResetState restores a
+// preempted machine to a state bit-identical to fresh construction (the
+// cancellation tests reuse a pool across a cancel and assert
+// bit-identity).
+func runGroup(ctx context.Context, mp *machinePool, prog *isa.Program, shots int, mode replay.Mode, lanes []shotLane,
 	setup func(*core.Machine) error,
-	onShot func(int, []replay.MD),
-	finish func(*core.Machine, replay.Stats) error) error {
-	m, err := mp.get(seed)
-	if err != nil {
-		return err
-	}
-	if h := mp.faults; h != nil && h.Shot != nil {
-		inner := onShot
-		onShot = func(shot int, md []replay.MD) {
-			if inner != nil {
-				inner(shot, md)
-			}
-			h.Shot(shot)
+	finish func(lane int, m *core.Machine, stats replay.Stats) error) error {
+	bl := make([]replay.BatchLane, 0, len(lanes))
+	release := func() {
+		for _, ln := range bl {
+			mp.put(ln.M)
 		}
 	}
-	if setup != nil {
-		if err := setup(m); err != nil {
-			mp.put(m)
+	for _, l := range lanes {
+		m, err := mp.get(l.seed)
+		if err != nil {
+			release()
 			return err
 		}
+		onShot := l.onShot
+		if h := mp.faults; h != nil && h.Shot != nil {
+			onShot = func(shot int, md []replay.MD) {
+				if l.onShot != nil {
+					l.onShot(shot, md)
+				}
+				h.Shot(shot)
+			}
+		}
+		bl = append(bl, replay.BatchLane{M: m, BaseShot: l.base, OnShot: onShot})
+		if setup != nil {
+			if err := setup(m); err != nil {
+				release()
+				return err
+			}
+		}
 	}
-	stats, err := replay.Run(ctx, m, prog, replay.Options{Shots: shots, Mode: mode, OnShot: onShot, BaseShot: base})
-	if err == nil && finish != nil {
-		err = finish(m, stats)
+	stats, err := replay.RunBatch(ctx, prog, bl, shots, mode)
+	for j := 0; err == nil && finish != nil && j < len(bl); j++ {
+		err = finish(j, bl[j].M, stats[j])
 	}
-	mp.put(m)
+	release()
 	return err
 }
 

@@ -1,195 +1,40 @@
-// batch.go — the batch-aware compiled entry: one engine invocation that
-// runs several shot shards ("lanes") in lockstep on a shared compiled
+// batch.go — the lockstep finish of an engine run: several shot shards
+// ("lanes") replay their steady-state shots together on one compiled
 // schedule via qphys.TrajBatch.
 //
-// The division of labour mirrors the scalar engine exactly. Lead and
-// detection shots stay per lane on the scalar machines — they feed each
-// lane's PRNG stream (cold-start transient, recording, comparison) and
-// let every lane validate replay safety against its own controller and
-// caches. Only the steady-state replayed shots run batched, and only
-// when every lane independently detected safety, every lane's recorded
-// schedule is value-identical to lane 0's (lanes are distinct machines,
-// so pointer identity cannot hold across them — but identical configs
-// produce value-identical schedules, and the compiled tables derive
-// from matrix values), and every lane's backend is the trajectory
-// state. Any lane failing any gate demotes the whole group to the
-// per-lane scalar paths, which are bit-identical anyway — batching is
-// only ever a throughput fast path, never a semantic one.
+// RunBatch takes this path only when every lane of a multi-lane run
+// detected replay safety on its own machine, every lane's backend is the
+// trajectory state, and every lane's recorded schedule is
+// value-identical to lane 0's (lanes are distinct machines, so pointer
+// identity cannot hold across them — but identical configs produce
+// value-identical schedules, and the compiled tables derive from matrix
+// values). Each lane keeps its own PRNG stream and measurement chain, so
+// every lane stays bit-identical to its per-lane compiled finish.
 package replay
 
 import (
 	"context"
 	"fmt"
 
-	"quma/internal/core"
 	"quma/internal/isa"
 	"quma/internal/qphys"
 )
 
-// BatchLane is one member of a lockstep batch: a machine that would
-// otherwise run its own replay.Run invocation. BaseShot and OnShot mean
-// exactly what they mean in Options — per-lane global shot numbering
-// and per-lane result delivery.
-type BatchLane struct {
-	M        *core.Machine
-	BaseShot int
-	OnShot   func(shot int, md []MD)
-}
-
-// RunBatch executes the program Shots times on every lane, preserving
-// each lane's bit-exact equivalence to a standalone Run(lane.M, p,
-// Options{Shots, Mode, OnShot, BaseShot}) — same PRNG consumption, same
-// state evolution, same OnShot streams, same Stats. The returned slice
-// holds one Stats per lane, index-aligned with lanes.
-//
-// Cancellation and failure abort the whole batch: the first error (a
-// shot failure during a lane's lead phase, or a context preemption
-// inside the batched loop) is returned and the remaining work of every
-// lane is abandoned — callers treat the group as one failed job, which
-// matches the sharded engine's cancel-the-siblings semantics. A panic
-// unwinds with the machines mid-timeline; callers must discard them.
-func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int, mode Mode) ([]Stats, error) {
-	stats := make([]Stats, len(lanes))
-	if len(lanes) == 0 {
-		return stats, fmt.Errorf("replay: RunBatch requires at least one lane")
-	}
-	for i := range stats {
-		stats[i].Shots = shots
-	}
-	if shots <= 0 {
-		return stats, fmt.Errorf("replay: Shots must be positive, got %d", shots)
-	}
-	mode, err := ParseMode(string(mode))
-	if err != nil {
-		return stats, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(lanes) == 1 || mode == ModeOff || mode == ModeInterp {
-		// Nothing to amortize (or a mode whose executor has no batched
-		// form): run the lanes as plain sequential engine invocations.
-		for i, ln := range lanes {
-			st, err := Run(ctx, ln.M, p, Options{Shots: shots, Mode: mode, OnShot: ln.OnShot, BaseShot: ln.BaseShot})
-			stats[i] = st
-			if err != nil {
-				return stats, err
-			}
-		}
-		return stats, nil
-	}
-
-	lead := shots
-	if lead > detectShots {
-		lead = detectShots
-	}
-	recs := make([]*recorder, len(lanes))
-	scheds := make([][]op, len(lanes))
-	reasons := make([]string, len(lanes))
-	for i, ln := range lanes {
-		m := ln.M
-		rec := &recorder{}
-		recs[i] = rec
-		m.SetProbe(rec)
-		m.Controller.ResetReplayTracking()
-		var s1, s2 []op
-		for shot := 0; shot < lead; shot++ {
-			if shot == 1 || shot == 2 {
-				rec.recording, rec.sched = true, nil
-			} else {
-				rec.recording = false
-			}
-			if err := laneFullShot(ctx, m, p, rec, ln, shot); err != nil {
-				clearProbes(lanes[:i+1])
-				return stats, err
-			}
-			switch shot {
-			case 1:
-				s1 = rec.sched
-			case 2:
-				s2 = rec.sched
-			}
-		}
-		rec.recording = false
-		scheds[i] = s2
-		if reason := m.Controller.ReplayUnsafeReason(); reason != "" {
-			reasons[i] = reason
-		} else if !schedulesEqual(s1, s2) {
-			reasons[i] = "schedule is not shot-invariant"
-		}
-	}
-	if shots <= detectShots {
-		for i := range stats {
-			stats[i].Reason = "too few shots to amortize recording"
-		}
-		clearProbes(lanes)
-		return stats, nil
-	}
-
-	batchable := true
-	var trajs []*qphys.Trajectory
-	for i, ln := range lanes {
-		if reasons[i] != "" {
-			batchable = false
-			break
-		}
-		t, ok := ln.M.State.(*qphys.Trajectory)
-		if !ok {
-			batchable = false
-			break
-		}
-		if i > 0 && !schedulesEqualValue(scheds[0], scheds[i]) {
-			batchable = false
-			break
-		}
-		trajs = append(trajs, t)
-	}
-
-	if !batchable {
-		// Demote to per-lane scalar completion: each lane finishes
-		// exactly as its own Run invocation would from this point.
-		for i, ln := range lanes {
-			st := &stats[i]
-			if reasons[i] != "" {
-				st.Reason = reasons[i]
-				for shot := lead; shot < shots; shot++ {
-					if err := laneFullShot(ctx, ln.M, p, recs[i], ln, shot); err != nil {
-						clearProbes(lanes[i:])
-						return stats, err
-					}
-				}
-				ln.M.SetProbe(nil)
-				continue
-			}
-			st.Safe = true
-			st.Lead = lead
-			ln.M.SetProbe(nil)
-			st.Compiled = true
-			comp := memoizedCompile(ln.M, p, scheds[i])
-			st.Replayed, err = comp.run(ctx, ln.M, ln.BaseShot, lead, shots, ln.OnShot)
-			if err != nil {
-				clearProbes(lanes[i+1:])
-				return stats, err
-			}
-		}
-		return stats, nil
-	}
-
-	// Batched steady state: one compiled schedule (lane 0's memo slot —
-	// validated value-identical across lanes above), one lockstep SoA
-	// executor, per-lane measurement chains and result delivery.
+// runLockstep replays shots lead..shots-1 of every lane in lockstep: one
+// compiled schedule (lane 0's memo slot, validated value-identical
+// across lanes by the caller), one SoA executor, per-lane measurement
+// chains and result delivery.
+func runLockstep(ctx context.Context, p *isa.Program, lanes []BatchLane, sched []op, lead, shots int, stats []Stats) error {
 	clearProbes(lanes)
-	comp := memoizedCompile(lanes[0].M, p, scheds[0])
-	for i := range stats {
-		stats[i].Safe = true
-		stats[i].Compiled = true
-		stats[i].Lead = lead
-	}
-	batch := qphys.NewTrajBatch(trajs)
+	comp := memoizedCompile(lanes[0].M, p, sched)
+	trajs := make([]*qphys.Trajectory, len(lanes))
 	md := make([][]MD, len(lanes))
-	for i := range md {
+	for i, ln := range lanes {
+		stats[i].Safe, stats[i].Lead = true, lead
+		trajs[i] = ln.M.State.(*qphys.Trajectory)
 		md[i] = make([]MD, 0, comp.nMD)
 	}
+	batch := qphys.NewTrajBatch(trajs)
 	measure := func(lane, q, outcome int) {
 		md[lane] = append(md[lane], MD{Qubit: q, Result: lanes[lane].M.FinishMeasure(outcome)})
 	}
@@ -197,7 +42,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		if (shot-lead)%ctxCheckShots == 0 {
 			if err := ctx.Err(); err != nil {
 				batch.Scatter()
-				return stats, fmt.Errorf("replay: preempted at shot %d: %w", lanes[0].BaseShot+shot, err)
+				return fmt.Errorf("replay: preempted at shot %d: %w", lanes[0].BaseShot+shot, err)
 			}
 		}
 		for i := range md {
@@ -213,55 +58,7 @@ func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 		}
 	}
 	batch.Scatter()
-	return stats, nil
-}
-
-// laneFullShot runs one full-pipeline shot for a lane, mirroring Run's
-// fullShot closure (ctx gate, recorder MD reset, OnShot delivery, error
-// decoration with the lane's global shot index).
-func laneFullShot(ctx context.Context, m *core.Machine, p *isa.Program, rec *recorder, ln BatchLane, shot int) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("replay: preempted before shot %d: %w", ln.BaseShot+shot, err)
-	}
-	rec.md = rec.md[:0]
-	if err := m.RunProgram(p); err != nil {
-		return fmt.Errorf("replay: shot %d: %w", ln.BaseShot+shot, err)
-	}
-	if ln.OnShot != nil {
-		ln.OnShot(ln.BaseShot+shot, rec.md)
-	}
 	return nil
-}
-
-// clearProbes detaches the lead-phase recorders (error paths included:
-// machines go back to the pool or are discarded, never with a live
-// probe).
-func clearProbes(lanes []BatchLane) {
-	for _, ln := range lanes {
-		ln.M.SetProbe(nil)
-	}
-}
-
-// memoizedCompile resolves the compiled form of a freshly recorded
-// schedule through the machine-resident memo, exactly as Run does:
-// every hit is validated entry-for-entry against the recording, a miss
-// compiles and (bounded) stores.
-func memoizedCompile(m *core.Machine, p *isa.Program, sched []op) *compiled {
-	cache, _ := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if cache == nil {
-		cache = make(map[*isa.Program]*compileCache)
-		m.ReplayCache = cache
-	}
-	if e := cache[p]; e != nil && schedulesEqual(e.sched, sched) {
-		return e.c
-	}
-	comp := compileSchedule(sched)
-	if len(cache) >= maxCompiledPrograms {
-		cache = make(map[*isa.Program]*compileCache)
-		m.ReplayCache = cache
-	}
-	cache[p] = &compileCache{sched: sched, c: comp}
-	return comp
 }
 
 // matrixEqualValue compares two matrices entry by entry — the cross-

@@ -1,10 +1,10 @@
 // compile.go turns a validated shot schedule into a compiled form:
 // closure-free specialized steps (qphys.SchedOp) bound to the concrete
-// state-backend type. The interpreted replay loop (replay.go) still pays,
-// per shot, for interface dispatch on every operation, per-call operator
-// classification and Born-weight derivation inside ApplyKraus1, and one
-// population pass per channel application and measurement. Compilation
-// hoists all of that out of the shot loop:
+// state-backend type. Replaying the recorded operation stream op by op
+// would pay, per shot, for interface dispatch on every operation,
+// per-call operator classification and Born-weight derivation inside
+// ApplyKraus1, and one population pass per channel application and
+// measurement. Compilation hoists all of that out of the shot loop:
 //
 //   - Runs of adjacent deterministic single-qubit unitaries on the same
 //     qubit fuse into one precomputed 2×2 matrix (qphys.FuseUnitaries),
@@ -14,7 +14,7 @@
 //     and operator tables are hoisted once per schedule into a
 //     qphys.ChannelTable, deduplicated by the machine cache's Kraus-slice
 //     identity. The PRNG draw order per step is unchanged, so results
-//     stay bit-identical to interpreted replay.
+//     stay bit-identical to full simulation.
 //   - Population passes are chained: a channel application or measurement
 //     asks the nearest preceding state-modifying step to accumulate its
 //     populations during that step's own application pass, in the exact
@@ -23,8 +23,8 @@
 //     bit.
 //   - The executors are devirtualized: the trajectory backend runs the
 //     whole shot in one qphys.RunSchedule pass; the density backend gets
-//     direct concrete-type calls; an interface fallback covers future
-//     backends.
+//     direct concrete-type calls. These are the only two executors — a
+//     backend without one runs the full pipeline (replayBlocker).
 //
 // All per-schedule scratch (step slice, channel tables, measurement
 // buffer) is allocated at compile time, so compiled replay performs zero
@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"quma/internal/core"
+	"quma/internal/isa"
 	"quma/internal/qphys"
 )
 
@@ -46,6 +47,34 @@ import (
 type compileCache struct {
 	sched []op
 	c     *compiled
+}
+
+// memoizedCompile resolves the compiled form of a freshly recorded
+// schedule through the machine-resident memo, keyed by program identity:
+// a machine pooled for the lifetime of a sweep (or of the batch service,
+// which also makes program pointers stable via its service-lifetime
+// assembly cache) compiles each distinct program once, however many
+// programs interleave on it. Every hit is still validated
+// entry-for-entry against the recording (whose matrices alias stable
+// machine-cache entries), so a stale entry — e.g. after core invalidated
+// the memo on UploadPulse — can only miss, never corrupt. A miss
+// compiles and (bounded) stores.
+func memoizedCompile(m *core.Machine, p *isa.Program, sched []op) *compiled {
+	cache, _ := m.ReplayCache.(map[*isa.Program]*compileCache)
+	if cache == nil {
+		cache = make(map[*isa.Program]*compileCache)
+		m.ReplayCache = cache
+	}
+	if e := cache[p]; e != nil && schedulesEqual(e.sched, sched) {
+		return e.c
+	}
+	comp := compileSchedule(sched)
+	if len(cache) >= maxCompiledPrograms {
+		cache = make(map[*isa.Program]*compileCache)
+		m.ReplayCache = cache
+	}
+	cache[p] = &compileCache{sched: sched, c: comp}
+	return comp
 }
 
 // compiled is a shot schedule after compilation.
@@ -233,29 +262,9 @@ func (c *compiled) runDensity(m *core.Machine, d *qphys.Density, md []MD) []MD {
 	return md
 }
 
-// runGeneric executes one compiled shot through the qphys.State
-// interface — the fallback for backends the compiler has no fast path
-// for. Fused unitaries and per-shot counter batching still apply.
-func (c *compiled) runGeneric(m *core.Machine, state qphys.State, md []MD) []MD {
-	for i := range c.ops {
-		o := &c.ops[i]
-		switch o.Kind {
-		case qphys.SchedApply1, qphys.SchedApply1RD:
-			state.Apply1(o.U, int(o.Q))
-		case qphys.SchedChannel:
-			state.ApplyKraus1(o.Ch.Ops(), int(o.Q))
-		case qphys.SchedCZ, qphys.SchedApply2:
-			state.Apply2(o.U, int(o.Q), int(o.Qb))
-		case qphys.SchedMeasure:
-			md = append(md, MD{Qubit: int(o.Q), Result: m.MeasureQubit(int(o.Q))})
-		}
-	}
-	m.PulsesPlayed += c.pulses
-	return md
-}
-
 // run replays shots first..shots-1 from the compiled schedule, binding
-// the whole shot loop to the concrete backend type once. The context is
+// the whole shot loop to the concrete backend type once — trajectory or
+// density, the backends replayBlocker admits. The context is
 // consulted every ctxCheckShots shots (bounded-staleness preemption); a
 // preempted run returns the wrapped ctx.Err() with the count of shots
 // already replayed. base offsets the shot indices reported to onShot and
@@ -301,17 +310,6 @@ func (c *compiled) run(ctx context.Context, m *core.Machine, base, first, shots 
 				return replayed, err
 			}
 			md = c.runDensity(m, state, md[:0])
-			replayed++
-			if onShot != nil {
-				onShot(base+shot, md)
-			}
-		}
-	default:
-		for shot := first; shot < shots; shot++ {
-			if err := check(shot); err != nil {
-				return replayed, err
-			}
-			md = c.runGeneric(m, m.State, md[:0])
 			replayed++
 			if onShot != nil {
 				onShot(base+shot, md)

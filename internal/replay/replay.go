@@ -20,26 +20,30 @@
 //     consecutive steady-state shots are identical — which also catches
 //     timing-induced variation such as SSB-phase drift when the shot
 //     period is not a multiple of the modulation period.
-//   - Replays: drives the qphys.State backend directly from the recorded
-//     schedule for all remaining shots — no assembler, no pipeline, no
-//     timing queues — preserving the exact PRNG consumption order
-//     (channel sampling → projection → integration noise, in TD order),
-//     so results are bit-identical to full simulation.
-//   - Compiles (the default): before replaying, the schedule is lowered
-//     once into specialized closure-free steps bound to the concrete
-//     backend type (see compile.go): fused adjacent unitaries, hoisted
-//     per-schedule channel pricing tables, population carries threaded
-//     between steps and across shots, and devirtualized executors. The
-//     compiled form is memoized on the machine (core.Machine.ReplayCache)
+//   - Compiles and replays: the schedule is lowered once into specialized
+//     closure-free steps bound to the concrete backend type (see
+//     compile.go): fused adjacent unitaries, hoisted per-schedule channel
+//     pricing tables, population carries threaded between steps and
+//     across shots, and devirtualized executors. The compiled form drives
+//     the qphys.State backend directly for all remaining shots — no
+//     assembler, no pipeline, no timing queues — preserving the exact
+//     PRNG consumption order (channel sampling → projection → integration
+//     noise, in TD order), so results are bit-identical to full
+//     simulation. It is memoized on the machine (core.Machine.ReplayCache)
 //     and validated against each fresh recording, so pooled machines
-//     compile each program once per lifetime. ModeInterp keeps the
-//     op-by-op interpreter as the A/B baseline; both are bit-identical
-//     to full simulation.
+//     compile each program once per lifetime.
+//
+// One engine (RunBatch; Run is its one-lane form) drives every shot job.
+// It runs the lead/detect shots once per lane, then finishes each lane
+// on the compiled executor of its backend — trajectory or density — or,
+// when several trajectory lanes recorded the same schedule, all of them
+// in lockstep on the batched SoA executor (see batch.go).
 //
 // Feedback programs (e.g. examples/feedback, the corrected repetition
 // code) are detected as unsafe and transparently fall back to full
-// per-shot simulation; correctness never depends on the detection saying
-// yes, only performance does.
+// per-shot simulation, as does a state backend without a compiled
+// executor; correctness never depends on the detection saying yes, only
+// performance does.
 //
 // Invariants replayed shots do NOT maintain: controller registers and
 // data memory (no classical execution happens), the digital output unit's
@@ -62,44 +66,42 @@ import (
 type Mode string
 
 const (
-	// ModeAuto records leading shots, then replays the schedule when the
-	// program is detected replay-safe, using the best available engine —
-	// currently the compiled one (the default; "" means auto).
+	// ModeAuto records leading shots, then replays the compiled schedule
+	// when the program is detected replay-safe (the default; "" means
+	// auto).
 	ModeAuto Mode = "auto"
 	// ModeOff runs every shot through the full pipeline.
 	ModeOff Mode = "off"
 	// ModeCompiled records leading shots and, when safe, compiles the
 	// schedule once into specialized closure-free steps bound to the
 	// concrete backend type (see compile.go), then replays the compiled
-	// form. Bit-identical to ModeInterp and ModeOff whenever the
-	// schedule separates same-qubit unitaries with at least one
-	// channel application — every decoherent configuration. With
-	// decoherence disabled, adjacent unitaries fuse into one
-	// precomputed matrix (qphys.FuseUnitaries): amplitudes then agree
-	// to floating-point rounding rather than bit-for-bit, which leaves
-	// measured results identical in practice (regression-tested) but
-	// not provably bit-exact.
+	// form. Bit-identical to ModeOff whenever the schedule separates
+	// same-qubit unitaries with at least one channel application — every
+	// decoherent configuration. With decoherence disabled, adjacent
+	// unitaries fuse into one precomputed matrix (qphys.FuseUnitaries):
+	// amplitudes then agree to floating-point rounding rather than
+	// bit-for-bit, which leaves measured results identical in practice
+	// (regression-tested) but not provably bit-exact.
 	ModeCompiled Mode = "compiled"
-	// ModeInterp records leading shots and, when safe, replays the
-	// schedule by interpreting the recorded operation stream op-by-op
-	// through the qphys.State interface — the pre-compilation engine,
-	// kept as the A/B baseline for ModeCompiled.
-	ModeInterp Mode = "interp"
 )
 
 // ParseMode validates a mode string and resolves the default: the empty
-// string selects ModeAuto. Callers that accept a mode from the outside
-// (flags, config) should reject anything ParseMode rejects instead of
-// silently defaulting.
+// string selects ModeAuto, and the legacy spelling "interp" (the retired
+// op-by-op interpreter, bit-identical to compiled replay) selects
+// ModeCompiled, so requests and journaled jobs that name it stay valid.
+// Callers that accept a mode from the outside (flags, config) should
+// reject anything ParseMode rejects instead of silently defaulting.
 func ParseMode(s string) (Mode, error) {
 	switch Mode(s) {
 	case "":
 		return ModeAuto, nil
-	case ModeAuto, ModeOff, ModeCompiled, ModeInterp:
+	case "interp":
+		return ModeCompiled, nil
+	case ModeAuto, ModeOff, ModeCompiled:
 		return Mode(s), nil
 	}
-	return "", fmt.Errorf("replay: unknown mode %q (want %q, %q, %q or %q)",
-		s, ModeAuto, ModeCompiled, ModeInterp, ModeOff)
+	return "", fmt.Errorf("replay: unknown mode %q (want %q, %q or %q)",
+		s, ModeAuto, ModeCompiled, ModeOff)
 }
 
 // maxCompiledPrograms bounds the per-machine compiled-schedule memo.
@@ -156,11 +158,9 @@ type Stats struct {
 	Shots int
 	// Replayed counts shots executed by schedule replay.
 	Replayed int
-	// Safe reports whether the program was detected replay-safe.
+	// Safe reports whether the program was detected replay-safe (its
+	// replayed shots then ran from the compiled schedule).
 	Safe bool
-	// Compiled reports whether replayed shots ran from the compiled
-	// schedule (false: interpreted replay or no replay at all).
-	Compiled bool
 	// Lead counts the full-pipeline lead/detect shots this run paid
 	// before replay engaged. It is zero whenever replay did not engage
 	// (ModeOff, unsafe programs, too few shots): those runs execute
@@ -178,9 +178,9 @@ type Stats struct {
 }
 
 // Merge folds the stats of the next shard of a shot-sharded run into s,
-// in shard order: shot counts add, Safe/Compiled hold only if every
-// shard held them (each shard detects independently; identical programs
-// agree, so the AND is diagnostic, not lossy), and the first non-empty
+// in shard order: shot counts add, Safe holds only if every shard held
+// it (each shard detects independently; identical programs agree, so
+// the AND is diagnostic, not lossy), and the first non-empty
 // Reason is kept. Merging into a zero Stats adopts t wholesale.
 func (s *Stats) Merge(t Stats) {
 	if s.Shots == 0 {
@@ -196,7 +196,6 @@ func (s *Stats) Merge(t Stats) {
 	// aggregate, so this is not additive with t.Overhead.)
 	s.Overhead += t.Lead
 	s.Safe = s.Safe && t.Safe
-	s.Compiled = s.Compiled && t.Compiled
 	if s.Reason == "" {
 		s.Reason = t.Reason
 	}
@@ -291,15 +290,26 @@ func schedulesEqual(a, b []op) bool {
 	return true
 }
 
-// Run executes the program Shots times on the machine, per Options.Mode.
-// The machine should be freshly constructed or ResetState so the engine
-// owns its full deterministic timeline. Results (data collection unit,
-// OnShot measurement streams, PulsesPlayed/Measurements counters) are
-// bit-identical across modes for every program with decoherent qubits —
-// replay only changes how fast they are produced. (The one qualified
-// case: with decoherence disabled entirely, compiled replay fuses
-// adjacent same-qubit unitaries, and results are float-equivalent rather
-// than provably bit-exact — see ModeCompiled.)
+// BatchLane is one lane of an engine run: a machine with its own PRNG
+// stream, lead/detect shots and result delivery. BaseShot and OnShot mean
+// exactly what they mean in Options — per-lane global shot numbering and
+// per-lane result delivery.
+type BatchLane struct {
+	M        *core.Machine
+	BaseShot int
+	OnShot   func(shot int, md []MD)
+}
+
+// Run executes the program Shots times on the machine, per Options.Mode:
+// a one-lane RunBatch. The machine should be freshly constructed or
+// ResetState so the engine owns its full deterministic timeline. Results
+// (data collection unit, OnShot measurement streams,
+// PulsesPlayed/Measurements counters) are bit-identical across modes for
+// every program with decoherent qubits — replay only changes how fast
+// they are produced. (The one qualified case: with decoherence disabled
+// entirely, compiled replay fuses adjacent same-qubit unitaries, and
+// results are float-equivalent rather than provably bit-exact — see
+// ModeCompiled.)
 //
 // Cancellation: a done ctx preempts the run between full-pipeline shots
 // and, inside replayed loops, within ctxCheckShots shots, returning the
@@ -310,153 +320,181 @@ func schedulesEqual(a, b []op) bool {
 // never perturb it. The machine is left mid-timeline; ResetState returns
 // it to a sound pooled state (enforced by expt's cancellation tests).
 func Run(ctx context.Context, m *core.Machine, p *isa.Program, opts Options) (Stats, error) {
-	st := Stats{Shots: opts.Shots}
-	if opts.Shots <= 0 {
-		return st, fmt.Errorf("replay: Shots must be positive, got %d", opts.Shots)
+	lane := [1]BatchLane{{M: m, BaseShot: opts.BaseShot, OnShot: opts.OnShot}}
+	var st [1]Stats
+	err := runLanes(ctx, p, lane[:], opts.Shots, opts.Mode, st[:])
+	return st[0], err
+}
+
+// RunBatch executes the program Shots times on every lane, preserving
+// each lane's bit-exact equivalence to a standalone Run(lane.M, p,
+// Options{Shots, Mode, OnShot, BaseShot}) — same PRNG consumption, same
+// state evolution, same OnShot streams, same Stats. The returned slice
+// holds one Stats per lane, index-aligned with lanes.
+//
+// Every lane runs its lead/detect shots on its own machine: they feed
+// the lane's PRNG stream (cold-start transient, recording, comparison)
+// and let each lane validate replay safety against its own controller
+// and caches. Only the steady-state replayed shots can run batched, and
+// only when there are several lanes, every lane independently detected
+// safety, every lane's backend is the trajectory state, and every lane's
+// recorded schedule is value-identical to lane 0's. Otherwise each lane
+// finishes on its own: replayed on its backend's compiled executor, or
+// through the full pipeline when it cannot replay. The two finishes are
+// bit-identical — batching is only ever a throughput fast path, never a
+// semantic one.
+//
+// Cancellation and failure abort the whole batch: the first error (a
+// shot failure or a context preemption, in any lane) is returned and the
+// remaining work of every lane is abandoned — callers treat the group as
+// one failed job, which matches the sharded engine's cancel-the-siblings
+// semantics. A panic unwinds with the machines mid-timeline; callers
+// must discard them.
+func RunBatch(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int, mode Mode) ([]Stats, error) {
+	stats := make([]Stats, len(lanes))
+	return stats, runLanes(ctx, p, lanes, shots, mode, stats)
+}
+
+// laneState is the engine's per-lane scratch: the recorder attached as
+// the lane machine's probe (its schedule is the one recorded at shot 2
+// once the lead phase ends) and why the lane cannot replay ("" when it
+// can).
+type laneState struct {
+	rec    recorder
+	reason string
+}
+
+// runLanes is the engine behind Run and RunBatch, filling stats (one
+// per lane) in place.
+func runLanes(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int, mode Mode, stats []Stats) error {
+	if len(lanes) == 0 {
+		return fmt.Errorf("replay: RunBatch requires at least one lane")
 	}
-	mode, err := ParseMode(string(opts.Mode))
+	for i := range stats {
+		stats[i].Shots = shots
+	}
+	if shots <= 0 {
+		return fmt.Errorf("replay: Shots must be positive, got %d", shots)
+	}
+	mode, err := ParseMode(string(mode))
 	if err != nil {
-		return st, err
+		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	rec := &recorder{}
-	m.SetProbe(rec)
-	defer m.SetProbe(nil)
-	m.Controller.ResetReplayTracking()
-
-	base := opts.BaseShot
-	fullShot := func(shot int) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("replay: preempted before shot %d: %w", base+shot, err)
-		}
-		rec.md = rec.md[:0]
-		if err := m.RunProgram(p); err != nil {
-			return fmt.Errorf("replay: shot %d: %w", base+shot, err)
-		}
-		if opts.OnShot != nil {
-			opts.OnShot(base+shot, rec.md)
-		}
-		return nil
+	ls := make([]laneState, len(lanes))
+	for i, ln := range lanes {
+		ln.M.SetProbe(&ls[i].rec)
+		ln.M.Controller.ResetReplayTracking()
 	}
+	// Machines go back to the pool (or are discarded) never with a live
+	// probe, error paths included.
+	defer clearProbes(lanes)
 
-	if mode == ModeOff {
-		for shot := 0; shot < opts.Shots; shot++ {
-			if err := fullShot(shot); err != nil {
-				return st, err
+	// Lead/detect, once per lane: shot 0 carries the cold-start
+	// transient, shots 1 and 2 are recorded and compared. ModeOff has no
+	// lead — every shot is an ordinary full-pipeline shot.
+	lead := 0
+	if mode != ModeOff {
+		lead = min(shots, detectShots)
+	}
+	batched := len(lanes) > 1
+	for i, ln := range lanes {
+		l := &ls[i]
+		var s1 []op
+		for shot := 0; shot < lead; shot++ {
+			if shot == 2 {
+				// A shot-invariant schedule records shot 1's length again.
+				s1, l.rec.sched = l.rec.sched, make([]op, 0, len(l.rec.sched))
+			}
+			l.rec.recording = shot > 0
+			if err := fullShot(ctx, p, &lanes[i], &l.rec, shot); err != nil {
+				return err
 			}
 		}
-		st.Reason = "replay disabled"
-		return st, nil
+		l.rec.recording = false
+		switch {
+		case mode == ModeOff:
+			l.reason = "replay disabled"
+		case shots <= detectShots:
+			l.reason = "too few shots to amortize recording"
+		default:
+			l.reason = replayBlocker(ln.M, s1, l.rec.sched)
+		}
+		_, traj := ln.M.State.(*qphys.Trajectory)
+		batched = batched && l.reason == "" && traj &&
+			(i == 0 || schedulesEqualValue(ls[0].rec.sched, l.rec.sched))
+	}
+	if batched {
+		return runLockstep(ctx, p, lanes, ls[0].rec.sched, lead, shots, stats)
 	}
 
-	lead := opts.Shots
-	if lead > detectShots {
-		lead = detectShots
+	// Per-lane completion: each lane finishes exactly as a standalone
+	// one-lane run would from this point.
+	for i := range lanes {
+		ln, st := &lanes[i], &stats[i]
+		if st.Reason = ls[i].reason; st.Reason != "" {
+			for shot := lead; shot < shots; shot++ {
+				if err := fullShot(ctx, p, ln, &ls[i].rec, shot); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		// Replay: drive the state backend directly from the steady-state
+		// schedule, consuming the machine PRNG in exactly the recorded
+		// order.
+		st.Safe, st.Lead = true, lead
+		ln.M.SetProbe(nil)
+		comp := memoizedCompile(ln.M, p, ls[i].rec.sched)
+		if st.Replayed, err = comp.run(ctx, ln.M, ln.BaseShot, lead, shots, ln.OnShot); err != nil {
+			return err
+		}
 	}
-	var s1, s2 []op
-	for shot := 0; shot < lead; shot++ {
-		if shot == 1 || shot == 2 {
-			rec.recording, rec.sched = true, nil
-		} else {
-			rec.recording = false
-		}
-		if err := fullShot(shot); err != nil {
-			return st, err
-		}
-		switch shot {
-		case 1:
-			s1 = rec.sched
-		case 2:
-			s2 = rec.sched
-		}
-	}
-	rec.recording = false
+	return nil
+}
 
-	if opts.Shots <= detectShots {
-		st.Reason = "too few shots to amortize recording"
-		return st, nil
+// fullShot runs one shot of a lane through the full pipeline: the ctx
+// gate, the recorder's per-shot MD reset, OnShot delivery, and error
+// decoration with the lane's global shot index.
+func fullShot(ctx context.Context, p *isa.Program, ln *BatchLane, rec *recorder, shot int) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("replay: preempted before shot %d: %w", ln.BaseShot+shot, err)
 	}
+	rec.md = rec.md[:0]
+	if err := ln.M.RunProgram(p); err != nil {
+		return fmt.Errorf("replay: shot %d: %w", ln.BaseShot+shot, err)
+	}
+	if ln.OnShot != nil {
+		ln.OnShot(ln.BaseShot+shot, rec.md)
+	}
+	return nil
+}
+
+// replayBlocker returns why a machine whose lead shots recorded the
+// steady-state schedules s1 and s2 must finish through the full
+// pipeline, or "" when it can replay: the program consumed a measurement
+// or cross-shot classical state, the schedule is not shot-invariant, or
+// the state backend has no compiled executor (compiled.run serves the
+// trajectory and density states only).
+func replayBlocker(m *core.Machine, s1, s2 []op) string {
 	if reason := m.Controller.ReplayUnsafeReason(); reason != "" {
-		st.Reason = reason
-	} else if !schedulesEqual(s1, s2) {
-		st.Reason = "schedule is not shot-invariant"
+		return reason
 	}
-	if st.Reason != "" {
-		for shot := lead; shot < opts.Shots; shot++ {
-			if err := fullShot(shot); err != nil {
-				return st, err
-			}
-		}
-		return st, nil
+	if !schedulesEqual(s1, s2) {
+		return "schedule is not shot-invariant"
 	}
+	switch m.State.(type) {
+	case *qphys.Trajectory, *qphys.Density:
+		return ""
+	}
+	return fmt.Sprintf("no compiled replay executor for state backend %T", m.State)
+}
 
-	// Replay: drive the state backend directly from the steady-state
-	// schedule, consuming the machine PRNG in exactly the recorded order.
-	st.Safe = true
-	st.Lead = lead
-	m.SetProbe(nil)
-	if mode != ModeInterp {
-		// Compiled replay (ModeAuto, ModeCompiled): specialize the
-		// schedule once, then run closure-free steps per shot. The
-		// compiled form is memoized on the machine, keyed by program
-		// identity — a machine pooled for the lifetime of a sweep (or of
-		// the batch service, which also makes program pointers stable via
-		// its service-lifetime assembly cache) compiles each distinct
-		// program once, however many programs interleave on it. Every
-		// hit is still validated entry-for-entry against the freshly
-		// recorded schedule (whose matrices alias stable machine-cache
-		// entries), so a stale entry — e.g. after core invalidated the
-		// cache on UploadPulse/SetQubitParams — can only miss, never
-		// corrupt.
-		st.Compiled = true
-		comp := memoizedCompile(m, p, s2)
-		st.Replayed, err = comp.run(ctx, m, base, lead, opts.Shots, opts.OnShot)
-		return st, err
+// clearProbes detaches the lanes' recorders.
+func clearProbes(lanes []BatchLane) {
+	for _, ln := range lanes {
+		ln.M.SetProbe(nil)
 	}
-	state := m.State
-	nMD := 0
-	for i := range s2 {
-		if s2[i].kind == opMeasure {
-			nMD++
-		}
-	}
-	md := make([]MD, 0, nMD)
-	for shot := lead; shot < opts.Shots; shot++ {
-		if (shot-lead)%ctxCheckShots == 0 {
-			if err := ctx.Err(); err != nil {
-				return st, fmt.Errorf("replay: preempted at shot %d: %w", base+shot, err)
-			}
-		}
-		md = md[:0]
-		for i := range s2 {
-			o := &s2[i]
-			switch o.kind {
-			case opIdle:
-				if o.u.N != 0 {
-					state.Apply1(o.u, o.q)
-				}
-				if o.kraus != nil {
-					state.ApplyKraus1(o.kraus, o.q)
-				}
-			case opPulse:
-				if o.u.N != 0 {
-					state.Apply1(o.u, o.q)
-				}
-				m.PulsesPlayed++
-			case opGate2:
-				state.Apply2(o.u, o.q, o.qb)
-				m.PulsesPlayed++
-			case opMeasure:
-				md = append(md, MD{Qubit: o.q, Result: m.MeasureQubit(o.q)})
-			}
-		}
-		st.Replayed++
-		if opts.OnShot != nil {
-			opts.OnShot(base+shot, md)
-		}
-	}
-	return st, nil
 }

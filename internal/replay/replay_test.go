@@ -111,25 +111,21 @@ func TestReplayBitIdenticalToFullSimulation(t *testing.T) {
 		if stOff.Replayed != 0 {
 			t.Errorf("ModeOff replayed %d shots", stOff.Replayed)
 		}
-		for _, mode := range []Mode{ModeAuto, ModeInterp, ModeCompiled} {
+		for _, mode := range []Mode{ModeAuto, ModeCompiled} {
 			st, got, m := runEngine(t, cfg, simpleShot, shots, mode)
 			if !st.Safe || st.Replayed != shots-detectShots {
 				t.Errorf("%s stats = %+v, want safe with %d replayed", mode, st, shots-detectShots)
-			}
-			wantCompiled := mode != ModeInterp
-			if st.Compiled != wantCompiled {
-				t.Errorf("%s stats = %+v, want Compiled=%v", mode, st, wantCompiled)
 			}
 			requireIdentical(t, off, got, moff, m)
 		}
 	})
 }
 
-// TestCompiledBitIdenticalToInterpreted is the engine-level A/B of the
-// schedule compiler on a CZ + multi-measure program: the compiled
-// executor must reproduce the interpreted replay loop bit for bit on
-// both backends.
-func TestCompiledBitIdenticalToInterpreted(t *testing.T) {
+// TestCompiledCZScheduleBitIdenticalToFullSimulation is the
+// engine-level A/B of the schedule compiler on a CZ + multi-measure
+// program: the compiled executor must reproduce full per-shot
+// simulation bit for bit on both backends.
+func TestCompiledCZScheduleBitIdenticalToFullSimulation(t *testing.T) {
 	src := `
 mov r15, 40000
 QNopReg r15
@@ -149,15 +145,15 @@ halt
 		cfg.NumQubits = 2
 		cfg.CollectK = 2
 		const shots = 50
-		stI, interp, mi := runEngine(t, cfg, src, shots, ModeInterp)
+		stO, off, mo := runEngine(t, cfg, src, shots, ModeOff)
 		stC, comp, mc := runEngine(t, cfg, src, shots, ModeCompiled)
-		if !stI.Safe || stI.Compiled {
-			t.Fatalf("interp stats = %+v", stI)
+		if stO.Safe || stO.Replayed != 0 {
+			t.Fatalf("off stats = %+v", stO)
 		}
-		if !stC.Safe || !stC.Compiled {
+		if !stC.Safe || stC.Replayed != shots-detectShots {
 			t.Fatalf("compiled stats = %+v", stC)
 		}
-		requireIdentical(t, interp, comp, mi, mc)
+		requireIdentical(t, off, comp, mo, mc)
 	})
 }
 
@@ -191,7 +187,7 @@ halt
 			cfg.CollectK = 1
 			const shots = 50
 			_, off, moff := runEngine(t, cfg, src, shots, ModeOff)
-			for _, mode := range []Mode{ModeInterp, ModeCompiled} {
+			for _, mode := range []Mode{ModeAuto, ModeCompiled} {
 				st, got, m := runEngine(t, cfg, src, shots, mode)
 				if !st.Safe {
 					t.Fatalf("%s: noiseless pulse program must replay: %+v", mode, st)
@@ -217,7 +213,7 @@ func TestFeedbackFallbackUnderResetStatePooling(t *testing.T) {
 			return runEngine(t, c, feedbackShot, shots, mode)
 		}
 		_, want, mwant := fresh(ModeOff)
-		for _, mode := range []Mode{ModeOff, ModeInterp, ModeCompiled, ModeAuto} {
+		for _, mode := range []Mode{ModeOff, ModeCompiled, ModeAuto} {
 			// Pooled machine: constructed under another seed, used for an
 			// unrelated replay-safe program, then reset — it must behave
 			// exactly like a fresh machine under the target seed.
@@ -353,6 +349,71 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Run(context.Background(), m, prog, Options{Shots: 1, Mode: "sometimes"}); err == nil {
 		t.Error("unknown mode must fail")
 	}
+}
+
+// TestParseModeLegacyInterp pins the retired interpreter's spelling:
+// "interp" still validates and resolves to compiled replay, so requests
+// and journaled jobs that name it keep running — and replay.
+func TestParseModeLegacyInterp(t *testing.T) {
+	if m, err := ParseMode("interp"); err != nil || m != ModeCompiled {
+		t.Fatalf(`ParseMode("interp") = (%q, %v), want (%q, nil)`, m, err, ModeCompiled)
+	}
+	cfg := core.DefaultConfig()
+	cfg.CollectK = 1
+	_, want, mwant := runEngine(t, cfg, simpleShot, 40, ModeCompiled)
+	st, got, m := runEngine(t, cfg, simpleShot, 40, "interp")
+	if !st.Safe || st.Replayed != 40-detectShots {
+		t.Fatalf("interp stats = %+v, want compiled replay", st)
+	}
+	requireIdentical(t, want, got, mwant, m)
+}
+
+// opaqueState hides the concrete backend type behind the qphys.State
+// interface: a stand-in for a backend without a compiled executor.
+type opaqueState struct{ qphys.State }
+
+// TestBackendWithoutExecutorRunsFullPipeline pins the engine's answer
+// to a state type the compiler has no executor for: a replay-safe
+// program runs every shot through the full pipeline, says why, and
+// matches full simulation bit for bit — alone and in a multi-lane batch.
+func TestBackendWithoutExecutorRunsFullPipeline(t *testing.T) {
+	backends(t, func(t *testing.T, cfg core.Config) {
+		const shots = 30
+		_, off, moff := runEngine(t, cfg, simpleShot, shots, ModeOff)
+		prog := asm.MustAssemble(simpleShot)
+		var lanes []BatchLane
+		hist := make([][][]MD, 2)
+		for i := range hist {
+			m, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.State = opaqueState{m.State}
+			lanes = append(lanes, BatchLane{M: m, OnShot: func(_ int, md []MD) {
+				hist[i] = append(hist[i], append([]MD(nil), md...))
+			}})
+		}
+		one, err := Run(context.Background(), lanes[0].M, prog, Options{Shots: shots, OnShot: lanes[0].OnShot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Safe || one.Replayed != 0 || !strings.Contains(one.Reason, "no compiled replay executor") {
+			t.Fatalf("one-lane stats = %+v, want full pipeline with an executor reason", one)
+		}
+		requireIdentical(t, off, hist[0], moff, lanes[0].M)
+		lanes[0].M.ResetState(cfg.Seed)
+		hist[0] = nil
+		sts, err := RunBatch(context.Background(), prog, lanes, shots, ModeAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range sts {
+			if st != one {
+				t.Errorf("lane %d stats = %+v, want %+v", i, st, one)
+			}
+			requireIdentical(t, off, hist[i], moff, lanes[i].M)
+		}
+	})
 }
 
 func TestReplayMultiQubitCZSchedule(t *testing.T) {

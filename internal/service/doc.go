@@ -135,8 +135,8 @@
 //
 // Cache lifetime: the Env (and with it every per-machine ReplayCache)
 // lives exactly as long as the Server. Invalidation is delegated
-// downward — core.Machine.UploadPulse/SetQubitParams drop compiled
-// schedules whose aliased cache entries died, and the replay engine
+// downward — core.Machine.UploadPulse drops compiled schedules whose
+// aliased cache entries died, and the replay engine
 // validates every memo hit against a fresh recording — so no service
 // restart is ever needed for correctness.
 //

@@ -58,8 +58,9 @@ type ExperimentRequest struct {
 	// bit-identical for any value, and the field is scrubbed from the
 	// canonical form and the result's params echo.
 	BatchLanes int `json:"batch_lanes,omitempty"`
-	// Replay is the shot-replay engine mode: "", auto, compiled, interp,
-	// off. Results are bit-identical for any value.
+	// Replay is the shot-replay engine mode: "", auto, compiled, off, or
+	// interp (a legacy spelling of compiled). Results are bit-identical
+	// for any value.
 	Replay string `json:"replay,omitempty"`
 
 	// DelaysCycles overrides the swept delays (t1/ramsey/echo).
@@ -102,6 +103,11 @@ type ExperimentRequest struct {
 //	    to v2. batch_lanes (added later, no schema bump) joins the
 //	    neutral set: lane-batched execution preserves every shard's
 //	    stream bit-for-bit, so the field can never reach the result.
+//	    Also without a bump: "interp" became a legacy spelling of
+//	    compiled replay, so an asm job that sends "replay":"interp" and
+//	    replays reports "compiled": true where it used to report false.
+//	    That field is engine telemetry — the measured data cannot change
+//	    — and a bump would change every envelope.
 const ResultSchemaVersion = 3
 
 // scrubNeutralFields zeroes the result-neutral request fields in place.

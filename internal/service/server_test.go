@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -639,5 +640,48 @@ func TestExecutionErrorFailsJob(t *testing.T) {
 			t.Fatal("job never reached a terminal state")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestLegacyInterpReplayRuns pins the retired interpreter's request
+// spelling: an asm experiment that sends "replay":"interp" still
+// validates and runs — as compiled replay, with the measured stream of
+// a "compiled" request.
+func TestLegacyInterpReplayRuns(t *testing.T) {
+	_, hs := startTestServer(t, Config{Workers: 1})
+	type programResult struct {
+		StreamHash uint64 `json:"stream_hash"`
+		Ones       []int  `json:"ones"`
+		Safe       bool   `json:"safe"`
+		Compiled   bool   `json:"compiled"`
+	}
+	run := func(mode string) programResult {
+		id, resp := submit(t, hs.URL, SubmitRequest{Experiments: []ExperimentRequest{
+			{Type: "asm", Seed: 9, Rounds: 60, Replay: mode,
+				Program: "mov r15, 40000\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nhalt\n"},
+		}})
+		if id == "" {
+			t.Fatalf("replay=%q: submit status %d", mode, resp.StatusCode)
+		}
+		waitDone(t, hs.URL, id)
+		var doc struct {
+			Results []struct {
+				Result programResult `json:"result"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(fetchResult(t, hs.URL, id), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Results) != 1 {
+			t.Fatalf("replay=%q: %d results, want 1", mode, len(doc.Results))
+		}
+		return doc.Results[0].Result
+	}
+	want, got := run("compiled"), run("interp")
+	if !got.Safe || !got.Compiled {
+		t.Errorf("interp result = %+v, want compiled replay", got)
+	}
+	if got.StreamHash != want.StreamHash || !reflect.DeepEqual(got.Ones, want.Ones) {
+		t.Fatalf("interp stream %x ones %v, want compiled's %x ones %v", got.StreamHash, got.Ones, want.StreamHash, want.Ones)
 	}
 }
