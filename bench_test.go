@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see EXPERIMENTS.md for the mapping), plus ablations for the
-// design choices called out in DESIGN.md. Custom metrics report the
+// evaluation (each benchmark's comment names its artifact), plus
+// ablations for the simulator's design choices (the ablation section
+// below). Custom metrics report the
 // scientific quantity each artifact is about (deviation, bytes, fitted
 // times); ns/op reports the simulation cost.
 //
@@ -342,7 +343,7 @@ halt
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches ---
 
 // BenchmarkTimingControllerEventDriven demonstrates that the timing
 // controller's cost is O(events), not O(cycles): the same event count
@@ -564,7 +565,7 @@ func BenchmarkVLIWIssueRate(b *testing.B) {
 }
 
 // BenchmarkVLIWExecution compares scalar vs width-4 VLIW execution of
-// the same pulse-heavy program (ablation for DESIGN.md §5).
+// the same pulse-heavy program (ablation).
 func BenchmarkVLIWExecution(b *testing.B) {
 	src := `
 mov r15, 400

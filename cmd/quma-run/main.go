@@ -111,10 +111,11 @@ func main() {
 	cfg.AmplitudeError = *amperr
 	cfg.TraceEvents = *trace
 
-	m, err := core.New(cfg)
+	tmpl, err := core.NewTemplate(cfg)
 	if err != nil {
 		fail(err)
 	}
+	m := tmpl.NewMachine(cfg.Seed)
 
 	var prog *isa.Program
 	if *binary {
@@ -152,7 +153,7 @@ func main() {
 		}
 		printEngine(stats)
 	default:
-		stats, shardMachines, err := runSharded(cfg, prog, plan, *shotWorkers, *lanes, mode)
+		stats, shardMachines, err := runSharded(tmpl, cfg.Seed, prog, plan, *shotWorkers, *lanes, mode)
 		if err != nil {
 			fail(err)
 		}
@@ -239,15 +240,16 @@ func printEngine(stats replay.Stats) {
 }
 
 // runSharded executes the shot-shard plan: shard k runs plan[k] shots on
-// a fresh machine seeded expt.DeriveSeed(cfg.Seed, k) with its global
-// shot offset as replay.Options.BaseShot. With lanes > 1 the shards are
+// a fresh machine of tmpl seeded expt.DeriveSeed(seed, k) with its global
+// shot offset as replay.Options.BaseShot. Every machine shares tmpl, the
+// condition for lockstep batching. With lanes > 1 the shards are
 // partitioned into lockstep batch groups (expt.LaneGroups) and each
 // group runs as one replay.RunBatch call — one lane per shard, same
 // seeds, same streams, so the grouping can never change a result byte.
 // Up to `workers` groups run concurrently (0 = one per CPU). Stats
 // merge in shard order; the machines return in shard order too, so the
 // caller's "last machine" state is deterministic.
-func runSharded(cfg core.Config, prog *isa.Program, plan []int, workers, lanes int, mode replay.Mode) (replay.Stats, []*core.Machine, error) {
+func runSharded(tmpl *core.Template, seed int64, prog *isa.Program, plan []int, workers, lanes int, mode replay.Mode) (replay.Stats, []*core.Machine, error) {
 	if mode == replay.ModeOff {
 		lanes = 1 // full-pipeline shots have no batched executor
 	}
@@ -280,18 +282,8 @@ func runSharded(cfg core.Config, prog *isa.Program, plan []int, workers, lanes i
 				g0, g1 := groups[gi][0], groups[gi][1]
 				bl := make([]replay.BatchLane, 0, g1-g0)
 				for k := g0; k < g1; k++ {
-					scfg := cfg
-					scfg.Seed = expt.DeriveSeed(cfg.Seed, k)
-					sm, err := core.New(scfg)
-					if err != nil {
-						errs[gi] = err
-						break
-					}
-					machines[k] = sm
-					bl = append(bl, replay.BatchLane{M: sm, BaseShot: starts[k]})
-				}
-				if errs[gi] != nil {
-					continue
+					machines[k] = tmpl.NewMachine(expt.DeriveSeed(seed, k))
+					bl = append(bl, replay.BatchLane{M: machines[k], BaseShot: starts[k]})
 				}
 				sts, err := replay.RunBatch(context.Background(), prog, bl, plan[g0], mode)
 				copy(statsv[g0:g1], sts)

@@ -1,6 +1,6 @@
 // Command quma-tables regenerates every table and figure of the paper's
 // evaluation from the simulated QuMA stack. Each flag selects one
-// artifact; -all prints everything. See EXPERIMENTS.md for the mapping.
+// artifact, named in its help text; -all prints everything.
 //
 // Usage:
 //

@@ -167,10 +167,11 @@
 //     any other backend runs the full pipeline on every shot.
 //   - Zero allocations per shot. All scratch (step slice, tables,
 //     measurement buffer) is allocated at compile time, and the compiled
-//     form is memoized on the machine (core.Machine.ReplayCache, keyed
-//     by program identity), validated entry-for-entry against each
-//     fresh recording — pooled machines compile each program once per
-//     lifetime, however many programs interleave on them.
+//     form is memoized on the machine's immutable configuration template
+//     (core.Template.Compiled, keyed by program identity), validated
+//     entry-for-entry against each fresh recording — all machines of a
+//     template, pooled or running concurrently, compile each program
+//     once, however many programs interleave on them.
 //
 // # Shot-sharded parallel replay
 //

@@ -13,6 +13,7 @@ package awg
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -64,6 +65,12 @@ func NewCTPG() *CTPG {
 		DACBits: 14,
 		lut:     make(map[Codeword]lutEntry),
 	}
+}
+
+// Clone returns a copy of c with its own lookup table, so uploads to the
+// clone leave c untouched, and an empty playback log.
+func (c *CTPG) Clone() *CTPG {
+	return &CTPG{Delay: c.Delay, SSBHz: c.SSBHz, DACBits: c.DACBits, lut: maps.Clone(c.lut)}
 }
 
 // Upload stores a calibrated waveform under the given codeword, quantizing

@@ -11,12 +11,26 @@
 // experimentalist gets from the real box: per-index averaged integration
 // results, measurement registers, pulse playback logs, and an event
 // timeline.
+//
+// A machine is split along the paper's own line between configuration
+// and execution. Configuration-time state — the control store, the
+// micro-operation unit, the CTPG lookup tables, the MDU calibration —
+// lives in an immutable Template, "changed without touching programs"
+// by deriving a new template (Template.WithPulse). Execution state —
+// registers and memory, the QMB and timing queues, the PRNG, the quantum
+// register, the logs and counters — lives in each Machine and is all
+// that ResetState clears. A template also owns the caches keyed by its
+// configuration (pulse rotations, decoherence channels, compiled replay
+// schedules); they only grow, so every machine built from one template,
+// in any goroutine, resolves the same entries.
 package core
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"quma/internal/asm"
 	"quma/internal/awg"
@@ -69,10 +83,10 @@ type Config struct {
 	// Backend selects the quantum-state substrate (empty = density).
 	Backend Backend
 	// Qubit holds per-qubit coherence/control parameters; missing entries
-	// default to qphys.DefaultQubitParams. After New the values are
-	// captured by the machine's decoherence-channel cache, which survives
-	// ResetState: they are fixed for the machine's lifetime — build a new
-	// machine for other qubit parameters.
+	// default to qphys.DefaultQubitParams. NewTemplate copies them into
+	// the template, whose decoherence-channel cache captures them: they
+	// are fixed for the template's lifetime — build a new template for
+	// other qubit parameters.
 	Qubit []qphys.QubitParams
 	// Readout configures the measurement chain (shared calibration).
 	Readout readout.Params
@@ -136,50 +150,90 @@ func (e TraceEntry) String() string {
 	return fmt.Sprintf("TD=%-8d (%6.2fµs)  %-5s %s", e.TD, float64(e.TD.Nanos())/1e3, e.Kind, e.Desc)
 }
 
-// Machine is a fully wired QuMA control box plus simulated chip.
+// Template is the configuration-time half of a QuMA machine: the
+// normalized Config, the Q control store, the micro-operation unit, the
+// per-qubit CTPG lookup tables, the MDU calibration and the CZ unitary,
+// plus three caches derived from them. Nothing in a template changes
+// after NewTemplate (WithPulse derives a new one); its caches only grow,
+// one entry per key, built under a lock. Any number of machines, in any
+// goroutines, may run on one template.
+type Template struct {
+	cfg  Config
+	root *Template // the NewTemplate this one derives from (itself for a root)
+	cs   *microcode.ControlStore
+	uop  *uop.Unit
+	// ctpg holds the lookup tables; each machine plays them through
+	// copies of its own, which keep the playback logs.
+	ctpg []*awg.CTPG
+	mdu  *readout.MDU
+	cz   qphys.Matrix // the flux-pulse path's CZ unitary
+	// ssbPeriod is the single-sideband period in samples when it is an
+	// integer number of samples (the cacheable case), else 0. rotationOf
+	// reads it on every pulse.
+	ssbPeriod clock.Sample
+	rot       *memo[rotKey, rotVal]
+	// deco memoizes the decoherence Kraus set (and detuning rotation) per
+	// (qubit, idle duration): advance recomputes identical channels
+	// millions of times per experiment, and building one allocates ~10
+	// small matrices.
+	deco *memo[decoKey, decoVal]
+	// compiled is the replay engine's compiled-schedule memo (Compiled).
+	compiled *memo[*isa.Program, any]
+}
+
+// maxCompiledPrograms bounds a template's compiled-schedule memo.
+const maxCompiledPrograms = 256
+
+// memo is an append-only map shared by the machines of a template. A
+// key's entry is built once, under the lock (racing machines wait for
+// one build), and every later lookup returns it — unless keep rejects
+// it, and then it is rebuilt. A positive max bounds the map, which
+// starts afresh on overflow. keep and build must not reach the memo.
+type memo[K comparable, V any] struct {
+	mu  sync.Mutex
+	max int
+	m   map[K]V
+}
+
+func newMemo[K comparable, V any](max int) *memo[K, V] {
+	return &memo[K, V]{max: max, m: make(map[K]V)}
+}
+
+func (c *memo[K, V]) get(k K, keep func(V) bool, build func() V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[k]; ok && (keep == nil || keep(v)) {
+		return v
+	}
+	if c.max > 0 && len(c.m) >= c.max {
+		c.m = make(map[K]V)
+	}
+	v := build()
+	c.m[k] = v
+	return v
+}
+
+// Machine is a fully wired QuMA control box plus simulated chip: the
+// execution state of one run on a Template.
 type Machine struct {
-	Cfg        Config
 	Controller *exec.Controller
 	QMB        *exec.QMB
-	UOp        *uop.Unit
-	CTPG       []*awg.CTPG // one drive channel per qubit
-	Digital    *awg.DigitalOutputUnit
-	MDU        *readout.MDU
-	Collector  *readout.DataCollector
+	// CTPG is one drive channel per qubit: the machine's playback log
+	// over its template's lookup table, which is read-only here.
+	CTPG      []*awg.CTPG
+	Digital   *awg.DigitalOutputUnit
+	Collector *readout.DataCollector
 	// State is the quantum register, behind the pluggable backend
-	// interface — the concrete type is chosen by Cfg.Backend.
+	// interface — the concrete type is chosen by Config.Backend.
 	State qphys.State
 
+	tmpl     *Template // the template the machine runs on
+	root     *Template // the root template ResetState rebinds to
 	rng      *rand.Rand
 	lastTime []clock.Sample // per-qubit time up to which physics advanced
 	trace    []TraceEntry
-	// ssbPeriod is the single-sideband period in samples when it is an
-	// integer number of samples (the cacheable case), else 0. Computed
-	// once in New; rotationOf reads it on every pulse.
-	ssbPeriod clock.Sample
-	rotCache  map[rotKey]rotVal
-	// decoCache memoizes the decoherence Kraus set (and detuning rotation)
-	// per (qubit, idle duration): advance recomputes identical channels
-	// millions of times per experiment, and building one allocates ~10
-	// small matrices.
-	decoCache map[decoKey]decoVal
-	cz        qphys.Matrix // cached CZ unitary for the flux-pulse path
-	// cs is the Q control store loaded at construction, kept so
-	// ResetState can rebuild the execution layer without re-deriving it.
-	cs *microcode.ControlStore
 	// probe, when non-nil, observes the quantum-operation stream.
 	probe Probe
-	// ReplayCache is an opaque slot for the shot-replay engine to memoize
-	// compiled schedules across runs on this machine, keyed by program
-	// identity. It survives ResetState on purpose — cached entries alias
-	// rotation/decoherence cache entries, which also survive, and the
-	// engine validates every entry against the freshly recorded schedule
-	// before reuse, so a stale entry can only miss, never corrupt. It is
-	// cleared wholesale by UploadPulse, the one method that invalidates
-	// aliased cache entries (leaving compiled schedules permanently
-	// stale) — dropping them bounds the memo to live programs over a
-	// machine pooled for a service lifetime.
-	ReplayCache any
 	// PulsesPlayed counts codeword-triggered playbacks.
 	PulsesPlayed uint64
 	// Measurements counts MD events executed.
@@ -209,10 +263,12 @@ type decoVal struct {
 	ident bool           // channel is exactly the identity: skip it
 }
 
-// New builds and calibrates a machine: uploads the Table 1 pulse library
-// to every CTPG, fills the micro-operation units with pass-through
-// entries, calibrates the MDU, and loads the standard Q control store.
-func New(cfg Config) (*Machine, error) {
+// NewTemplate validates and normalizes cfg and builds its template:
+// uploads the Table 1 pulse library to every CTPG lookup table, fills
+// the micro-operation unit with pass-through entries, calibrates the
+// MDU, and loads the standard Q control store. cfg.Seed is dropped —
+// each machine takes its own.
+func NewTemplate(cfg Config) (*Template, error) {
 	maxQ, err := cfg.Backend.maxQubits()
 	if err != nil {
 		return nil, err
@@ -226,30 +282,27 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Readout.IntegrationSamples == 0 {
 		cfg.Readout = readout.DefaultParams()
 	}
+	cfg.Seed = 0
+	cfg.Qubit = slices.Clone(cfg.Qubit)
 	for len(cfg.Qubit) < cfg.NumQubits {
 		cfg.Qubit = append(cfg.Qubit, qphys.DefaultQubitParams())
 	}
 
-	m := &Machine{
-		Cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		lastTime:  make([]clock.Sample, cfg.NumQubits),
-		rotCache:  make(map[rotKey]rotVal),
-		decoCache: make(map[decoKey]decoVal),
-		cz:        qphys.CZ(),
+	t := &Template{
+		cfg:      cfg,
+		cs:       microcode.StandardControlStore(),
+		uop:      uop.NewUnit(),
+		mdu:      readout.Calibrate(cfg.Readout),
+		cz:       qphys.CZ(),
+		rot:      newMemo[rotKey, rotVal](0),
+		deco:     newMemo[decoKey, decoVal](0),
+		compiled: newMemo[*isa.Program, any](maxCompiledPrograms),
 	}
-	// The trajectory backend samples Kraus operators from the machine's
-	// own PRNG — the same stream measurement draws from — so a fixed
-	// Config.Seed fixes the whole trajectory.
-	if cfg.Backend == BackendTrajectory {
-		m.State = qphys.NewTrajectory(cfg.NumQubits, m.rng)
-	} else {
-		m.State = qphys.NewDensity(cfg.NumQubits)
-	}
+	t.root = t
 	// cfg.SSBHz was defaulted above, so only a non-integral period (in
 	// samples) leaves ssbPeriod at 0 — the uncacheable demodulation case.
 	if p := math.Abs(1e9 / cfg.SSBHz); p == math.Trunc(p) {
-		m.ssbPeriod = clock.Sample(p)
+		t.ssbPeriod = clock.Sample(p)
 	}
 	for q := 0; q < cfg.NumQubits; q++ {
 		c := awg.NewCTPG()
@@ -257,50 +310,106 @@ func New(cfg Config) (*Machine, error) {
 		if err := c.UploadStandardLibrary(cfg.AmplitudeError); err != nil {
 			return nil, fmt.Errorf("core: calibrating qubit %d: %w", q, err)
 		}
-		m.CTPG = append(m.CTPG, c)
+		t.ctpg = append(t.ctpg, c)
 	}
-	m.UOp = uop.NewUnit()
-	m.UOp.DefineStandardLibrary()
-	m.Digital = awg.NewDigitalOutputUnit()
-	m.MDU = readout.Calibrate(cfg.Readout)
-	if cfg.CollectK > 0 {
-		m.Collector = readout.NewDataCollector(cfg.CollectK)
-	}
-
-	m.cs = microcode.StandardControlStore()
-	m.QMB = exec.NewQMB(m.onPulse, m.onMPG, nil)
-	m.Controller = exec.NewController(m.cs, m.QMB)
-	// MD needs the controller for write-back, so it is wired afterwards.
-	m.QMB.MDQ.OnFire = m.onMD
-	return m, nil
+	t.uop.DefineStandardLibrary()
+	return t, nil
 }
 
-// ResetState returns the machine to its just-constructed condition under a
-// new PRNG seed, without reconstructing what construction paid for:
-// calibrated CTPG lookup tables, micro-operation definitions, the MDU
-// calibration, and the rotation/decoherence caches all survive. The
+// Config returns the template's normalized configuration (Seed zero).
+// Its Qubit slice is the template's own and must not be modified.
+func (t *Template) Config() Config { return t.cfg }
+
+// WithPulse derives a template that plays waveform w under codeword cw
+// on qubit q's drive channel, with µop name forwarding to it: the
+// recalibration path, leaving t untouched. The derived template copies
+// qubit q's lookup table and the µop unit, shares t's decoherence cache,
+// and starts empty rotation and compiled-schedule caches, so nothing
+// built from t's waveform can be applied to w.
+func (t *Template) WithPulse(q int, cw awg.Codeword, name string, w pulse.Waveform) (*Template, error) {
+	if q < 0 || q >= len(t.ctpg) {
+		return nil, fmt.Errorf("core: no drive channel for qubit %d", q)
+	}
+	d := *t
+	d.ctpg = slices.Clone(t.ctpg)
+	d.ctpg[q] = t.ctpg[q].Clone()
+	if err := d.ctpg[q].Upload(cw, name, w); err != nil {
+		return nil, err
+	}
+	d.uop = t.uop.Clone()
+	d.uop.DefinePrimitive(name, cw)
+	d.rot, d.compiled = newMemo[rotKey, rotVal](0), newMemo[*isa.Program, any](maxCompiledPrograms)
+	return &d, nil
+}
+
+// Compiled resolves the replay engine's compiled form of program p on
+// this template: the stored entry when keep accepts it, else build's,
+// which replaces it. Calls are serialized per template, keep and build
+// included (they must not call Compiled), so machines running p
+// concurrently build it once and share it. At most maxCompiledPrograms
+// programs are held; an overflow starts afresh.
+func (t *Template) Compiled(p *isa.Program, keep func(any) bool, build func() any) any {
+	return t.compiled.get(p, keep, build)
+}
+
+// NewMachine builds a machine on t in the ResetState(seed) condition.
+func (t *Template) NewMachine(seed int64) *Machine {
+	m := &Machine{root: t.root, rng: rand.New(rand.NewSource(seed)), lastTime: make([]clock.Sample, t.cfg.NumQubits)}
+	// The trajectory backend samples Kraus operators from the machine's
+	// own PRNG — the same stream measurement draws from — so a fixed
+	// seed fixes the whole trajectory.
+	if t.cfg.Backend == BackendTrajectory {
+		m.State = qphys.NewTrajectory(t.cfg.NumQubits, m.rng)
+	} else {
+		m.State = qphys.NewDensity(t.cfg.NumQubits)
+	}
+	if t.cfg.CollectK > 0 {
+		m.Collector = readout.NewDataCollector(t.cfg.CollectK)
+	}
+	m.ResetOn(t, seed)
+	return m
+}
+
+// New builds a template for cfg and one machine on it seeded cfg.Seed.
+func New(cfg Config) (*Machine, error) {
+	t, err := NewTemplate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return t.NewMachine(cfg.Seed), nil
+}
+
+// Template returns the template the machine runs on.
+func (m *Machine) Template() *Template { return m.tmpl }
+
+// ResetState returns the machine to its just-built condition under a new
+// PRNG seed, on the root template it was built from: ResetOn(root, seed).
+// A reset machine behaves bit-identically to a fresh NewMachine(seed) —
+// which is what lets the sweep engine pool machines across points.
+func (m *Machine) ResetState(seed int64) { m.ResetOn(m.root, seed) }
+
+// ResetOn rebinds the machine to template t — its root or a template
+// derived from it — and clears every piece of execution state: the
 // quantum register, per-qubit clocks, deterministic-domain queues,
-// controller registers/memory, collector, playback logs, trace, and event
-// counters are cleared. A reset machine behaves bit-identically to a
-// fresh core.New with the same Config and seed, which is what lets the
-// sweep engine pool machines across points.
-//
-// Surviving LUT/µop state cuts both ways: custom UploadPulse /
-// DefinePrimitive calls made after construction also survive, so a
-// caller reusing a machine across sweep points must re-apply its
-// per-point customization unconditionally on every point (as RunRabi
-// does) — a conditional upload would leave a pooled machine playing the
-// previous point's waveform where a fresh machine would play the
-// library's.
-func (m *Machine) ResetState(seed int64) {
-	m.Cfg.Seed = seed
+// controller registers and memory, collector, playback and digital
+// logs, trace, and event counters. Construction's work lives in the
+// template and is never redone.
+func (m *Machine) ResetOn(t *Template, seed int64) {
+	if t.root != m.root {
+		panic("core: ResetOn with a template of another configuration")
+	}
+	if t != m.tmpl {
+		m.tmpl, m.CTPG = t, m.CTPG[:0]
+		for _, c := range t.ctpg {
+			ch := *c // shares the lookup table; the template's log stays empty
+			m.CTPG = append(m.CTPG, &ch)
+		}
+	}
 	m.rng.Seed(seed)
 	// The State keeps its backend binding (the trajectory backend samples
 	// from m.rng, which stays the same object).
 	m.State.Reset()
-	for i := range m.lastTime {
-		m.lastTime[i] = 0
-	}
+	clear(m.lastTime)
 	m.trace = nil
 	m.PulsesPlayed = 0
 	m.Measurements = 0
@@ -314,7 +423,7 @@ func (m *Machine) ResetState(seed int64) {
 		m.Collector.Reset()
 	}
 	m.QMB = exec.NewQMB(m.onPulse, m.onMPG, nil)
-	m.Controller = exec.NewController(m.cs, m.QMB)
+	m.Controller = exec.NewController(t.cs, m.QMB)
 	m.QMB.MDQ.OnFire = m.onMD
 }
 
@@ -352,29 +461,6 @@ func (m *Machine) Trace() []TraceEntry { return m.trace }
 // ResetTrace clears the timeline.
 func (m *Machine) ResetTrace() { m.trace = nil }
 
-// UploadPulse replaces (or adds) a calibrated waveform in qubit q's CTPG
-// lookup table and invalidates the machine's cached rotations for that
-// codeword. This is the recalibration path: LUT content is configuration
-// state, changed without touching programs. Use this instead of writing
-// to the CTPG directly, or stale rotations may be applied.
-func (m *Machine) UploadPulse(q int, cw awg.Codeword, name string, w pulse.Waveform) error {
-	if q < 0 || q >= len(m.CTPG) {
-		return fmt.Errorf("core: no drive channel for qubit %d", q)
-	}
-	if err := m.CTPG[q].Upload(cw, name, w); err != nil {
-		return err
-	}
-	for k := range m.rotCache {
-		if k.q == q && k.cw == cw {
-			delete(m.rotCache, k)
-		}
-	}
-	// Compiled replay schedules alias the invalidated rotation entries;
-	// they would fail validation forever, so drop them now.
-	m.ReplayCache = nil
-	return nil
-}
-
 // MemoryFootprintBytes returns the total CTPG lookup-table memory at the
 // paper's 12-bit accounting.
 func (m *Machine) MemoryFootprintBytes() int {
@@ -395,19 +481,17 @@ func (m *Machine) fail(err error) {
 
 // advance applies decoherence to qubit q from its last-advanced time to
 // the target sample time. The (detuning rotation, Kraus set) pair for a
-// given idle duration is cached on the machine: experiment programs idle
-// each qubit by a handful of distinct durations, millions of times.
+// given idle duration is cached on the template: experiment programs
+// idle each qubit by a handful of distinct durations, millions of times.
 func (m *Machine) advance(q int, to clock.Sample) {
 	if to <= m.lastTime[q] {
 		return
 	}
 	delta := to - m.lastTime[q]
 	m.lastTime[q] = to
-	key := decoKey{q: q, delta: delta}
-	v, ok := m.decoCache[key]
-	if !ok {
+	v := m.tmpl.deco.get(decoKey{q: q, delta: delta}, nil, func() (v decoVal) {
 		dt := float64(delta) * 1e-9
-		p := m.Cfg.Qubit[q]
+		p := m.tmpl.cfg.Qubit[q]
 		if p.FreqDetuningHz != 0 {
 			v.rz = qphys.RZ(2 * math.Pi * p.FreqDetuningHz * dt)
 		}
@@ -415,8 +499,8 @@ func (m *Machine) advance(q int, to clock.Sample) {
 		// DecoherenceChannel returns {I} exactly when both coherence
 		// times are disabled; applying it would be an exact no-op.
 		v.ident = p.T1 <= 0 && p.T2 <= 0
-		m.decoCache[key] = v
-	}
+		return v
+	})
 	if v.rz.N != 0 {
 		m.State.Apply1(v.rz, q)
 	}
@@ -447,9 +531,9 @@ func (m *Machine) onPulse(e exec.PulseEvent, td clock.Cycle) {
 		at := (td + awg.FixedDelayCycles).Samples()
 		m.advance(qs[0], at)
 		m.advance(qs[1], at)
-		m.State.Apply2(m.cz, qs[0], qs[1])
+		m.State.Apply2(m.tmpl.cz, qs[0], qs[1])
 		if m.probe != nil {
-			m.probe.Gate2(m.cz, qs[0], qs[1])
+			m.probe.Gate2(m.tmpl.cz, qs[0], qs[1])
 		}
 		m.tracef(td, "pulse", "CZ %s", e.Qubits)
 		m.PulsesPlayed++
@@ -460,7 +544,7 @@ func (m *Machine) onPulse(e exec.PulseEvent, td clock.Cycle) {
 			m.fail(fmt.Errorf("core: qubit %d has no drive channel", q))
 			return
 		}
-		triggers, err := m.UOp.Expand(e.UOp, td)
+		triggers, err := m.tmpl.uop.Expand(e.UOp, td)
 		if err != nil {
 			m.fail(err)
 			return
@@ -496,24 +580,20 @@ func (m *Machine) applyPlayback(q int, pb awg.Playback) {
 
 // rotationOf demodulates the played waveform at its absolute start time.
 // Since the waveform content is fixed per codeword, the result depends
-// only on the start time modulo the SSB period (hoisted into m.ssbPeriod
-// by New), which makes it cacheable — including the rotation matrix
-// itself, so the steady-state pulse path performs no demodulation and no
-// allocation.
+// only on the start time modulo the SSB period (hoisted into ssbPeriod
+// by NewTemplate), which makes it cacheable on the template — including
+// the rotation matrix itself, so the steady-state pulse path performs no
+// demodulation and no allocation.
 func (m *Machine) rotationOf(q int, pb awg.Playback) rotVal {
-	period := m.ssbPeriod
-	if period == 0 {
-		phi, theta := pulse.Rotation(pb.Wave, m.Cfg.SSBHz, pb.Start)
+	demod := func() rotVal {
+		phi, theta := pulse.Rotation(pb.Wave, m.tmpl.cfg.SSBHz, pb.Start)
 		return rotVal{phi: phi, theta: theta, mat: qphys.REquator(phi, theta)}
 	}
-	key := rotKey{q: q, cw: pb.Codeword, phase: pb.Start % period}
-	if v, ok := m.rotCache[key]; ok {
-		return v
+	period := m.tmpl.ssbPeriod
+	if period == 0 {
+		return demod()
 	}
-	phi, theta := pulse.Rotation(pb.Wave, m.Cfg.SSBHz, pb.Start)
-	v := rotVal{phi: phi, theta: theta, mat: qphys.REquator(phi, theta)}
-	m.rotCache[key] = v
-	return v
+	return m.tmpl.rot.get(rotKey{q: q, cw: pb.Codeword, phase: pb.Start % period}, nil, demod)
 }
 
 // onMPG handles measurement-pulse generation: the digital output unit
@@ -537,7 +617,7 @@ func (m *Machine) onMPG(e exec.MPGEvent, td clock.Cycle) {
 func (m *Machine) onMD(e exec.MDEvent, td clock.Cycle) {
 	var packed int64
 	for _, q := range e.Qubits.Qubits() {
-		if q >= m.Cfg.NumQubits {
+		if q >= m.tmpl.cfg.NumQubits {
 			m.fail(fmt.Errorf("core: MD on absent qubit %d", q))
 			return
 		}
@@ -551,7 +631,7 @@ func (m *Machine) onMD(e exec.MDEvent, td clock.Cycle) {
 		}
 		// The discrimination result is available Latency cycles after
 		// integration; physics time advances accordingly.
-		m.advance(q, (td + m.MDU.TotalLatency()).Samples())
+		m.advance(q, (td + m.tmpl.mdu.TotalLatency()).Samples())
 	}
 	// Single-qubit MD writes 0/1; multi-qubit MD packs bit q of the
 	// result word, mirroring the combined-readout extension of §5.1.2.
@@ -582,7 +662,7 @@ func (m *Machine) MeasureQubit(q int) int {
 // chain consumes the same two variates in the same order as
 // MeasureQubit.
 func (m *Machine) FinishMeasure(outcome int) int {
-	result, s := m.MDU.SampleMeasure(outcome, m.rng)
+	result, s := m.tmpl.mdu.SampleMeasure(outcome, m.rng)
 	if m.Collector != nil {
 		m.Collector.Record(s)
 	}
@@ -591,7 +671,7 @@ func (m *Machine) FinishMeasure(outcome int) int {
 }
 
 func (m *Machine) tracef(td clock.Cycle, kind, format string, args ...any) {
-	if !m.Cfg.TraceEvents {
+	if !m.tmpl.cfg.TraceEvents {
 		return
 	}
 	m.trace = append(m.trace, TraceEntry{TD: td, Kind: kind, Desc: fmt.Sprintf(format, args...)})

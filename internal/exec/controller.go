@@ -103,9 +103,6 @@ func (c *Controller) Load(p *isa.Program) error {
 	return nil
 }
 
-// Halted reports whether the program has stopped.
-func (c *Controller) Halted() bool { return c.halted }
-
 // WriteReg writes a register (used by the MD fire handler for measurement
 // write-back) and retires one pending-MD marker for it. The register is
 // marked measurement-tainted for replay-safety detection.

@@ -143,9 +143,5 @@ func (q *QMB) Submit(in isa.Instruction) error {
 	return fmt.Errorf("exec: %s is not a queue-fillable microinstruction", in.Op)
 }
 
-// PendingInterval returns the interval accumulated since the last time
-// point (test/inspection hook).
-func (q *QMB) PendingInterval() clock.Cycle { return q.acc }
-
 // LabelsIssued returns how many time points have been opened.
 func (q *QMB) LabelsIssued() uint64 { return uint64(q.nextLabel) }

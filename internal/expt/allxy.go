@@ -145,17 +145,6 @@ func AllXYProgram(p AllXYParams) string {
 	return b.String()
 }
 
-// allXYPairProgram emits the program for one sweep point of the parallel
-// engine: Rounds averaging rounds of a single gate pair (twice per round
-// when Doubled, matching AllXYProgram's point order).
-func allXYPairProgram(p AllXYParams, pair AllXYPair) string {
-	var b strings.Builder
-	allXYHeader(&b, p)
-	emitAllXYPair(&b, p, pair)
-	allXYFooter(&b)
-	return b.String()
-}
-
 // allXYPairShotProgram emits the per-shot program for one gate pair: one
 // averaging round (the pair twice when Doubled); the round loop lives in
 // the replay engine.
@@ -225,7 +214,7 @@ func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*Al
 		sums := make([][]float64, nshards)
 		counts := make([][]int, nshards)
 		shardPulses := make([]uint64, nshards)
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil,
 			func(k int, m *core.Machine, _ replay.Stats) error {
 				want := shardShots(plan, k, p.Rounds)
 				if got := m.Collector.Rounds(); got != want {

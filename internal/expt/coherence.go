@@ -126,7 +126,7 @@ func runSweep(ctx context.Context, env *Env, cfg core.Config, p SweepParams, bod
 		// reproduces Averages()[0] bit for bit.
 		sums := make([]float64, shardCount(plan))
 		counts := make([]int, shardCount(plan))
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil,
 			func(k int, m *core.Machine, _ replay.Stats) error {
 				sums[k] = m.Collector.Sums()[0]
 				counts[k] = m.Collector.Counts()[0]

@@ -8,27 +8,25 @@ package expt
 //
 //   - each distinct program text assembles exactly once per Env, not once
 //     per request (programCache), and the resulting *isa.Program pointer
-//     is stable, which is what keys the per-machine compiled-schedule
-//     memo (core.Machine.ReplayCache) across requests;
-//   - machines are pooled across requests, not just across the points of
-//     one sweep: construction (waveform synthesis, LUT upload, MDU
-//     calibration) is paid once per (config, worker) instead of once per
-//     request.
+//     is stable, which is what keys the template's compiled-schedule
+//     memo (core.Template.Compiled) across requests;
+//   - each machine configuration builds its core.Template (waveform
+//     synthesis, LUT upload, MDU calibration) once per Env, and machines
+//     on it are pooled across requests, not just across the points of
+//     one sweep.
 //
-// Sharing machines across requests is only sound because of two standing
-// invariants. First, Machine.ResetState(seed) returns a pooled machine
-// to a state bit-identical to a fresh core.New with that seed, so which
+// Sharing across requests is only sound because of two standing
+// invariants. First, pools are sharded by the full machine configuration
+// *minus the seed* (envKey): a request only ever receives a machine on
+// the template of a config identical to its own, and the seed — the one
+// field requests legitimately vary — is applied per point by the reset.
+// Second, a pooled machine is reset onto the pool's template (ResetOn),
+// which is bit-identical to a fresh machine with that seed, so which
 // pool (or no pool) served a sweep point can never change a result.
-// Second, pools are sharded by the full machine configuration *minus the
-// seed* (envKey): a request only ever receives a machine built from a
-// config identical to its own, and the seed — the one field requests
-// legitimately vary — is applied per point via ResetState. Custom LUT
-// uploads and µop definitions survive pooling (see Machine.ResetState);
-// experiments that customize the machine (Rabi) re-apply the
-// customization unconditionally on every point, and standard-library
-// programs never address the spare entries, so a machine previously used
-// by Rabi still behaves bit-identically to fresh for every other
-// experiment.
+// Templates are never modified: an experiment that customizes the LUT
+// (Rabi) derives a template per point (core.Template.WithPulse), and
+// the reset rebinds a machine that ran on one to the pool's own — so a
+// machine previously used by Rabi plays the library waveforms again.
 
 import (
 	"context"
@@ -85,8 +83,8 @@ func (e *Env) SetFaults(h *FaultHooks) {
 
 // envKey is the machine-pool shard key: the complete machine
 // configuration with the seed zeroed. Two configs with the same key
-// build bit-identical machines up to ResetState(seed), which is exactly
-// the condition for sharing a pool.
+// build the same template, which is exactly the condition for sharing a
+// pool.
 func envKey(cfg core.Config) string {
 	c := cfg
 	c.Seed = 0
@@ -95,9 +93,9 @@ func envKey(cfg core.Config) string {
 
 // maxPoolShards bounds the pool map: requests vary configs freely (every
 // distinct t1_sec, scale set, backend... is a new shard), so a
-// service-lifetime Env flushes all shards on overflow. Machines held
-// only by a flushed sync.Pool become garbage; the next request of any
-// config pays one construction again. Determinism is untouched — pools
+// service-lifetime Env flushes all shards on overflow. Templates and
+// machines held only by a flushed pool become garbage; the next request
+// of any config pays one construction again. Determinism is untouched — pools
 // only ever amortize cost.
 const maxPoolShards = 64
 
@@ -195,7 +193,7 @@ func (e *Env) RunProgram(ctx context.Context, cfg core.Config, p ProgramParams) 
 	res := &ProgramResult{Params: p, Shots: p.Shots}
 	h := fnv.New64a()
 	pool := e.poolFor(cfg)
-	stats, err := runShotJobSharded(ctx, pool, cfg.Seed, prog, p.Shots, ShotShardPlan(p.Shots), p.ShotWorkers, p.BatchLanes, p.Replay, nil,
+	stats, err := runShotJobSharded(ctx, pool, cfg.Seed, prog, p.Shots, ShotShardPlan(p.Shots), p.ShotWorkers, p.BatchLanes, p.Replay,
 		func(shot int, md []replay.MD) {
 			if shot > 0 && len(md) != res.MDPerShot {
 				res.MDVaries = true

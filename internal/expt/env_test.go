@@ -2,6 +2,7 @@ package expt
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -70,6 +71,38 @@ func TestSharedEnvMatchesFreshEnv(t *testing.T) {
 		if _, err := env.RunRabi(context.Background(), cfg, rp); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRabiThenAllXYMatchesFreshEnv: Rabi's swept pulse lives in
+// templates derived per point, never in the Env's pooled machines, so an
+// AllXY run after it on the same Env — the same pool, CollectK 2 —
+// matches a fresh Env's result, the LUT footprint included.
+func TestRabiThenAllXYMatchesFreshEnv(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CollectK = 2
+	cfg.Seed = 5
+	ap := DefaultAllXYParams()
+	ap.Rounds = 10
+	want, err := RunAllXY(cfg, ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv()
+	rp := DefaultRabiParams()
+	rp.Rounds = 10
+	if _, err := env.RunRabi(context.Background(), cfg, rp); err != nil {
+		t.Fatal(err)
+	}
+	got, err := env.RunAllXY(context.Background(), cfg, ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MemoryBytes != want.MemoryBytes {
+		t.Errorf("AllXY after Rabi: MemoryBytes %d, fresh Env %d", got.MemoryBytes, want.MemoryBytes)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("AllXY after Rabi differs from a fresh Env")
 	}
 }
 

@@ -80,9 +80,9 @@ type RabiResult struct {
 }
 
 // RunRabi sweeps the drive amplitude on the parallel sweep engine: each
-// scale point runs on its own machine seeded with DeriveSeed(cfg.Seed,
-// point), with the scaled pulse uploaded into the machine's spare LUT
-// entry before the shots. The machine's AmplitudeError (if any) shifts
+// scale point runs on machines seeded from DeriveSeed(cfg.Seed, point)
+// on a template derived for that point, which holds the scaled pulse in
+// its spare LUT entry. The machine's AmplitudeError (if any) shifts
 // the apparent π point, which is exactly what the calibration detects:
 // the fitted PiScale times the nominal amplitude is the corrected
 // calibration. The fixed-phase fit (fit.FitRabi) keeps the extraction
@@ -92,9 +92,9 @@ func RunRabi(cfg core.Config, p RabiParams) (*RabiResult, error) {
 }
 
 // RunRabi runs the Rabi calibration sweep on the environment's shared
-// pools. The swept pulse is re-uploaded unconditionally on every point
-// (the pooled-machine contract for custom LUT content), so sharing
-// machines with other experiments is safe in both directions.
+// pools. Each point derives its own template (core.Template.WithPulse)
+// and never modifies the pool's, so sharing machines with other
+// experiments is safe in both directions.
 func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*RabiResult, error) {
 	if len(p.Scales) < 8 || p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: Rabi sweep needs ≥8 scales and ≥1 round")
@@ -117,23 +117,23 @@ func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*Rabi
 
 	res := &RabiResult{Params: p, Excited: make([]float64, len(p.Scales))}
 	pool := e.poolFor(cfg)
+	if pool.err != nil {
+		return nil, pool.err
+	}
 	err := runPool(ctx, len(p.Scales), p.Workers, func(i int) error {
 		prog, err := e.progs.get(src)
 		if err != nil {
 			return err
 		}
+		scaled := nominal
+		scaled.Theta = nominal.Theta * p.Scales[i]
+		w := awg.SynthesizeStandard(scaled, pool.tmpl.Config().SSBHz, cfg.AmplitudeError)
+		t, err := pool.tmpl.WithPulse(p.Qubit, RabiCodeword, "RABI", w)
+		if err != nil {
+			return fmt.Errorf("expt: uploading scale %.3f: %w", p.Scales[i], err)
+		}
 		var ones int
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.ShotWorkers, p.BatchLanes, p.Replay,
-			func(m *core.Machine) error {
-				m.UOp.DefinePrimitive("RABI", RabiCodeword)
-				scaled := nominal
-				scaled.Theta = nominal.Theta * p.Scales[i]
-				w := awg.SynthesizeStandard(scaled, m.Cfg.SSBHz, cfg.AmplitudeError)
-				if err := m.UploadPulse(p.Qubit, RabiCodeword, "RABI", w); err != nil {
-					return fmt.Errorf("expt: uploading scale %.3f: %w", p.Scales[i], err)
-				}
-				return nil
-			},
+		_, err = runShotJobSharded(ctx, pool.on(t), DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.ShotWorkers, p.BatchLanes, p.Replay,
 			func(_ int, md []replay.MD) {
 				if len(md) > 0 && md[0].Result == 1 {
 					ones++

@@ -124,7 +124,7 @@ func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult
 			return err
 		}
 		var ones int
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.ShotWorkers, p.BatchLanes, p.Replay, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, ShotShardPlan(p.Rounds), p.ShotWorkers, p.BatchLanes, p.Replay,
 			func(_ int, md []replay.MD) {
 				if len(md) > 0 && md[0].Result == 1 {
 					ones++

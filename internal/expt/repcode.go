@@ -383,7 +383,7 @@ func runChunkedVariants(ctx context.Context, env *Env, cfg core.Config, rounds, 
 			return err
 		}
 		var errs int64
-		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, v+1), prog, rounds, plan, shotWorkers, batchLanes, mode, nil,
+		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, v+1), prog, rounds, plan, shotWorkers, batchLanes, mode,
 			func(_ int, md []replay.MD) {
 				if variants[v].isError(md) {
 					errs++

@@ -145,17 +145,14 @@ func LaneGroups(plan []int, lanes int) [][2]int {
 // identical for every batchLanes value by the per-lane bit-identity
 // contract.
 //
-// setup runs on every shard's machine (the pooled-machine rule for
-// machine customization). onShot, when non-nil, receives every shot in
-// global order after the run completes; the fault-injection Shot hook,
-// by contrast, fires live inside each shard's loop (runGroup wraps
-// the per-shard callback), so injected panics and slowness land
-// mid-shard. finishShard runs per shard, with that shard's machine
-// still in hand, as the shard completes — callers must write only
-// shard-indexed slots from it. The returned stats are the shard-order
-// merge (replay.Stats.Merge).
+// onShot, when non-nil, receives every shot in global order after the
+// run completes; the fault-injection Shot hook, by contrast, fires live
+// inside each shard's loop (runGroup wraps the per-shard callback), so
+// injected panics and slowness land mid-shard. finishShard runs per
+// shard, with that shard's machine still in hand, as the shard
+// completes — callers must write only shard-indexed slots from it. The
+// returned stats are the shard-order merge (replay.Stats.Merge).
 func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, prog *isa.Program, shots int, plan []int, shotWorkers, batchLanes int, mode replay.Mode,
-	setup func(*core.Machine) error,
 	onShot func(int, []replay.MD),
 	finishShard func(shard int, m *core.Machine, stats replay.Stats) error) (replay.Stats, error) {
 	var merged replay.Stats
@@ -167,7 +164,7 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 		if plan != nil {
 			seed = DeriveSeed(pointSeed, 0)
 		}
-		err := runGroup(ctx, mp, prog, shots, mode, []shotLane{{seed: seed, onShot: onShot}}, setup,
+		err := runGroup(ctx, mp, prog, shots, mode, []shotLane{{seed: seed, onShot: onShot}},
 			func(_ int, m *core.Machine, st replay.Stats) error {
 				merged = st
 				if finishShard != nil {
@@ -216,7 +213,7 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 				}
 			}
 		}
-		return runGroup(sctx, mp, prog, plan[g0], mode, gl, setup,
+		return runGroup(sctx, mp, prog, plan[g0], mode, gl,
 			func(j int, m *core.Machine, st replay.Stats) error {
 				statsv[g0+j] = st
 				if finishShard != nil {

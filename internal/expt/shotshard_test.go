@@ -210,7 +210,7 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 					errs++
 				}
 			}}
-			err := runGroup(context.Background(), pool, prog, rounds, p.Replay, []shotLane{lane}, nil, nil)
+			err := runGroup(context.Background(), pool, prog, rounds, p.Replay, []shotLane{lane}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,7 +373,7 @@ func TestShardOverheadAccounting(t *testing.T) {
 	pool := env.poolFor(cfg)
 
 	// At threshold: legacy single stream, lead paid once, zero overhead.
-	st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, ShotShardSize, ShotShardPlan(ShotShardSize), 4, 0, replay.ModeAuto, nil, nil, nil)
+	st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, ShotShardSize, ShotShardPlan(ShotShardSize), 4, 0, replay.ModeAuto, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestShardOverheadAccounting(t *testing.T) {
 	// of every shard after the first. Identical with and without lanes.
 	for _, lanes := range []int{0, 8} {
 		plan := ShotShardPlan(600)
-		st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, plan, 4, lanes, replay.ModeAuto, nil, nil, nil)
+		st, err := runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, plan, 4, lanes, replay.ModeAuto, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func TestShardOverheadAccounting(t *testing.T) {
 
 	// ModeOff never engages replay: every shot is ordinary full-pipeline
 	// work, so no lead and no overhead, sharded or not.
-	st, err = runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, ShotShardPlan(600), 4, 0, replay.ModeOff, nil, nil, nil)
+	st, err = runShotJobSharded(context.Background(), pool, cfg.Seed, prog, 600, ShotShardPlan(600), 4, 0, replay.ModeOff, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestShardPlanMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runShotJobSharded(context.Background(), env.poolFor(cfg), 1, prog, 500, []int{100, 100}, 2, 0, replay.ModeAuto, nil, nil, nil)
+	_, err = runShotJobSharded(context.Background(), env.poolFor(cfg), 1, prog, 500, []int{100, 100}, 2, 0, replay.ModeAuto, nil, nil)
 	if err == nil {
 		t.Fatal("mismatched shard plan accepted")
 	}
@@ -456,7 +456,7 @@ func BenchmarkShardedT1Point(b *testing.B) {
 	plan := ShotShardPlan(shots)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runShotJobSharded(context.Background(), pool, 1, prog, shots, plan, 0, 0, replay.ModeAuto, nil, nil, nil); err != nil {
+		if _, err := runShotJobSharded(context.Background(), pool, 1, prog, shots, plan, 0, 0, replay.ModeAuto, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -501,7 +501,7 @@ func BenchmarkBatchedRepCode(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := runShotJobSharded(context.Background(), pool, 7, prog, shots, plan, 1, lanes, replay.ModeAuto, nil, nil, nil); err != nil {
+					if _, err := runShotJobSharded(context.Background(), pool, 7, prog, shots, plan, 1, lanes, replay.ModeAuto, nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

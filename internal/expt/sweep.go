@@ -26,9 +26,9 @@ package expt
 //     experiment never returns a partial result. Worker panics are
 //     recovered into *PanicError (the panicking point's machine is
 //     discarded, not pooled) so one bad point cannot kill the process.
-//   - Config values handed to workers are deep-copied (the Qubit slice is
-//     the only reference field) so concurrent machines share nothing;
-//     each distinct program text assembles once per sweep (programCache).
+//   - Concurrent machines share only their immutable core.Template
+//     (whose caches resolve one entry per key for every machine); each
+//     distinct program text assembles once per sweep (programCache).
 //   - cfg.Backend and Params.Replay ride through unchanged: every
 //     experiment runs on either state backend, with replay on or off,
 //     with bit-identical results (replay_test.go enforces this).
@@ -44,7 +44,6 @@ import (
 	"quma/internal/asm"
 	"quma/internal/core"
 	"quma/internal/isa"
-	"quma/internal/qphys"
 	"quma/internal/replay"
 )
 
@@ -66,16 +65,6 @@ func DeriveSeed(base int64, index int) int64 {
 // and a chunk within it).
 func DeriveSeed2(base int64, a, b int) int64 {
 	return DeriveSeed(DeriveSeed(base, a), b)
-}
-
-// sweepConfig returns a copy of cfg seeded for sweep point i, with the
-// Qubit slice deep-copied so concurrently built machines never append
-// into shared backing storage.
-func sweepConfig(cfg core.Config, seed int64) core.Config {
-	c := cfg
-	c.Seed = seed
-	c.Qubit = append([]qphys.QubitParams(nil), cfg.Qubit...)
-	return c
 }
 
 // PanicError wraps a panic recovered from a sweep worker: the panic
@@ -195,8 +184,8 @@ type programCache struct {
 // stream of distinct program texts (e.g. asm requests with unique
 // literals) must not grow without bound. On overflow the whole map is
 // flushed — an epoch reset, not LRU: program pointers stay stable within
-// an epoch (what the per-machine ReplayCache keying wants), and a flush
-// only costs re-assembly, never correctness.
+// an epoch (what the template's compiled-schedule memo keying wants), and
+// a flush only costs re-assembly, never correctness.
 const maxCachedPrograms = 1024
 
 func newProgramCache() *programCache {
@@ -239,27 +228,34 @@ type FaultHooks struct {
 	Shot func(shot int)
 }
 
-// machinePool reuses core.Machine instances across the points of one
-// sweep via Machine.ResetState: construction (waveform synthesis, LUT
-// upload, MDU calibration) is paid once per worker instead of once per
-// point, while ResetState(seed) guarantees a pooled machine behaves
-// bit-identically to a fresh core.New with that seed — so the sweep
-// determinism contract (results independent of worker count and of which
-// machine served which point) is preserved. Two caveats ride along:
-// custom LUT uploads and µop definitions survive the reset, so a
-// runGroup setup that customizes the machine must do so
-// unconditionally on every point (see Machine.ResetState); and a machine
-// whose job panicked is never returned here — its state is unknowable,
-// so it is discarded and the pool rebuilds on the next get.
+// machinePool holds one configuration's template, built once, and reuses
+// machines on it across sweep points and requests: get hands out a
+// machine in the ResetOn(tmpl, seed) condition, bit-identical to a fresh
+// tmpl.NewMachine(seed) — so the sweep determinism contract (results
+// independent of worker count and of which machine served which point)
+// is preserved. Every get rebinds the machine to the pool's template, so
+// a machine that last ran on a template derived for a Rabi point (see
+// on) plays the library waveforms again. A machine whose job panicked is
+// never returned here — its state is unknowable, so it is discarded and
+// the pool builds another on the next get.
 type machinePool struct {
-	cfg    core.Config
+	tmpl   *core.Template
+	err    error // NewTemplate's error for an invalid configuration
 	faults *FaultHooks
-	pool   sync.Pool
+	pool   *sync.Pool
 }
 
 func newMachinePool(cfg core.Config) *machinePool {
-	cfg.Qubit = append([]qphys.QubitParams(nil), cfg.Qubit...)
-	return &machinePool{cfg: cfg}
+	t, err := core.NewTemplate(cfg)
+	return &machinePool{tmpl: t, err: err, pool: new(sync.Pool)}
+}
+
+// on returns a view of the pool whose gets run machines on t, a template
+// derived from the pool's own.
+func (mp *machinePool) on(t *core.Template) *machinePool {
+	v := *mp
+	v.tmpl = t
+	return &v
 }
 
 func (mp *machinePool) get(seed int64) (*core.Machine, error) {
@@ -268,12 +264,15 @@ func (mp *machinePool) get(seed int64) (*core.Machine, error) {
 			return nil, err
 		}
 	}
+	if mp.err != nil {
+		return nil, mp.err
+	}
 	if v := mp.pool.Get(); v != nil {
 		m := v.(*core.Machine)
-		m.ResetState(seed)
+		m.ResetOn(mp.tmpl, seed)
 		return m, nil
 	}
-	return core.New(sweepConfig(mp.cfg, seed))
+	return mp.tmpl.NewMachine(seed), nil
 }
 
 func (mp *machinePool) put(m *core.Machine) { mp.pool.Put(m) }
@@ -290,14 +289,13 @@ type shotLane struct {
 // runGroup executes one group of equal-size shot jobs — a whole sweep
 // point, or one or more shards of a shot-sharded point (see
 // runShotJobSharded) — as one replay.RunBatch call: acquire a pooled
-// machine per lane under the lane's seed, run optional per-point setup
-// (e.g. a pulse upload) on each, run the per-shot program `shots` times
-// on every lane, and hand each lane's machine and stats to finish for
-// result extraction before returning the machines to the pool. The
-// engine reports shot indices offset by each lane's base, so OnShot
-// callbacks and the fault-injection Shot hook — which fires live inside
-// the engine's loop — observe global shot numbering whichever shard
-// they run on.
+// machine per lane under the lane's seed, run the per-shot program
+// `shots` times on every lane, and hand each lane's machine and stats to
+// finish for result extraction before returning the machines to the
+// pool. The engine reports shot indices offset by each lane's base, so
+// OnShot callbacks and the fault-injection Shot hook — which fires live
+// inside the engine's loop — observe global shot numbering whichever
+// shard they run on.
 //
 // The machine returns are deliberately not deferred: a panic anywhere in
 // the group (engine, callbacks, injected fault) unwinds past the puts,
@@ -308,7 +306,6 @@ type shotLane struct {
 // cancellation tests reuse a pool across a cancel and assert
 // bit-identity).
 func runGroup(ctx context.Context, mp *machinePool, prog *isa.Program, shots int, mode replay.Mode, lanes []shotLane,
-	setup func(*core.Machine) error,
 	finish func(lane int, m *core.Machine, stats replay.Stats) error) error {
 	bl := make([]replay.BatchLane, 0, len(lanes))
 	release := func() {
@@ -332,12 +329,6 @@ func runGroup(ctx context.Context, mp *machinePool, prog *isa.Program, shots int
 			}
 		}
 		bl = append(bl, replay.BatchLane{M: m, BaseShot: l.base, OnShot: onShot})
-		if setup != nil {
-			if err := setup(m); err != nil {
-				release()
-				return err
-			}
-		}
 	}
 	stats, err := replay.RunBatch(ctx, prog, bl, shots, mode)
 	for j := 0; err == nil && finish != nil && j < len(bl); j++ {

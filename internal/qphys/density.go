@@ -179,10 +179,6 @@ func (d *Density) ReducedQubit(q int) Matrix {
 	return out
 }
 
-// Fidelity01 returns the overlap of qubit q's reduced state with |1⟩,
-// i.e. the quantity the AllXY experiment estimates.
-func (d *Density) Fidelity01(q int) float64 { return d.ProbExcited(q) }
-
 func clampProb(p float64) float64 {
 	return math.Min(1, math.Max(0, p))
 }

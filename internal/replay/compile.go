@@ -12,7 +12,7 @@
 //     classified for the cheaper Apply1RD kernel.
 //   - Each decoherence channel's axis-aligned Kraus pricing coefficients
 //     and operator tables are hoisted once per schedule into a
-//     qphys.ChannelTable, deduplicated by the machine cache's Kraus-slice
+//     qphys.ChannelTable, deduplicated by the template cache's Kraus-slice
 //     identity. The PRNG draw order per step is unchanged, so results
 //     stay bit-identical to full simulation.
 //   - Population passes are chained: a channel application or measurement
@@ -40,41 +40,27 @@ import (
 	"quma/internal/qphys"
 )
 
-// compileCache is one entry of the machine-resident compiled-schedule
-// memo (core.Machine.ReplayCache holds a map keyed by *isa.Program): the
-// recorded schedule the entry was built from, for entry-for-entry
-// validation, and the compiled form.
+// compileCache is one entry of a template's compiled-schedule memo
+// (core.Template.Compiled, keyed by *isa.Program): the recorded schedule
+// the entry was built from, for entry-for-entry validation, and the
+// compiled form.
 type compileCache struct {
 	sched []op
 	c     *compiled
 }
 
 // memoizedCompile resolves the compiled form of a freshly recorded
-// schedule through the machine-resident memo, keyed by program identity:
-// a machine pooled for the lifetime of a sweep (or of the batch service,
-// which also makes program pointers stable via its service-lifetime
-// assembly cache) compiles each distinct program once, however many
-// programs interleave on it. Every hit is still validated
-// entry-for-entry against the recording (whose matrices alias stable
-// machine-cache entries), so a stale entry — e.g. after core invalidated
-// the memo on UploadPulse — can only miss, never corrupt. A miss
-// compiles and (bounded) stores.
+// schedule through the memo of the machine's template, keyed by program
+// identity, so every machine of a template — batch lanes, pooled sweep
+// and service machines — shares one compile per program. A hit is
+// validated entry-for-entry against the recording (whose matrices alias
+// the template's cache entries): a schedule recorded from another
+// starting timeline recompiles instead of replaying a stale entry.
 func memoizedCompile(m *core.Machine, p *isa.Program, sched []op) *compiled {
-	cache, _ := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if cache == nil {
-		cache = make(map[*isa.Program]*compileCache)
-		m.ReplayCache = cache
-	}
-	if e := cache[p]; e != nil && schedulesEqual(e.sched, sched) {
-		return e.c
-	}
-	comp := compileSchedule(sched)
-	if len(cache) >= maxCompiledPrograms {
-		cache = make(map[*isa.Program]*compileCache)
-		m.ReplayCache = cache
-	}
-	cache[p] = &compileCache{sched: sched, c: comp}
-	return comp
+	e := m.Template().Compiled(p,
+		func(v any) bool { return schedulesEqual(v.(*compileCache).sched, sched) },
+		func() any { return &compileCache{sched: sched, c: compileSchedule(sched)} })
+	return e.(*compileCache).c
 }
 
 // compiled is a shot schedule after compilation.
@@ -91,7 +77,7 @@ type compiled struct {
 }
 
 // compileSchedule compiles a recorded steady-state schedule. Channel
-// tables are deduplicated by the identity of the machine-cached Kraus
+// tables are deduplicated by the identity of the template-cached Kraus
 // slice, so every application of one decoherence channel shares one
 // table.
 func compileSchedule(sched []op) *compiled {

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"quma/internal/asm"
@@ -11,7 +12,7 @@ import (
 )
 
 // Unit tests of the schedule compiler: lowering, fusion, channel-table
-// deduplication, carry linking, and the machine-resident compile cache.
+// deduplication, carry linking, and the template's compiled-schedule memo.
 
 func TestCompileScheduleLowering(t *testing.T) {
 	kraus := qphys.DecoherenceChannel(8e-6, qphys.DefaultQubitParams())
@@ -91,8 +92,14 @@ func TestPhaseSafeGate2(t *testing.T) {
 	}
 }
 
-// TestCompileCacheReuse verifies the machine-resident memo: a second run
-// of the same program on the same machine reuses the compiled schedule,
+// memoEntry returns the compiled-schedule memo entry for p on m's
+// template, or an empty entry (which never validates) when there is none.
+func memoEntry(m *core.Machine, p *isa.Program) *compileCache {
+	return m.Template().Compiled(p, func(any) bool { return true }, func() any { return &compileCache{} }).(*compileCache)
+}
+
+// TestCompileCacheReuse verifies the template's memo: a second run of
+// the same program on the same machine reuses the compiled schedule,
 // a different program recompiles, and results stay bit-identical to a
 // fresh machine either way.
 func TestCompileCacheReuse(t *testing.T) {
@@ -108,16 +115,15 @@ func TestCompileCacheReuse(t *testing.T) {
 	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	cache1, ok := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if !ok || cache1[prog] == nil {
-		t.Fatal("first compiled run must populate the machine cache")
+	e1 := memoEntry(m, prog)
+	if e1.c == nil {
+		t.Fatal("first compiled run must populate the template's memo")
 	}
-	e1 := cache1[prog]
 	m.ResetState(4)
 	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	e2 := m.ReplayCache.(map[*isa.Program]*compileCache)[prog]
+	e2 := memoEntry(m, prog)
 	if e1.c != e2.c {
 		t.Error("re-running the same program must reuse the compiled schedule")
 	}
@@ -137,18 +143,17 @@ halt
 	if _, err := Run(context.Background(), m, other, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	cache2 := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if cache2[other] == nil || cache2[other].c == e1.c {
+	if e := memoEntry(m, other); e.c == nil || e.c == e1.c {
 		t.Error("a different program must compile its own entry")
 	}
-	if cache2[prog] == nil || cache2[prog].c != e2.c {
+	if memoEntry(m, prog).c != e2.c {
 		t.Error("the first program's entry must survive a second program")
 	}
 	m.ResetState(6)
 	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ReplayCache.(map[*isa.Program]*compileCache)[prog]; got == nil || got.c != e2.c {
+	if memoEntry(m, prog).c != e2.c {
 		t.Error("returning to the first program must hit its keyed entry")
 	}
 	// And a cached run must equal a fresh machine bit for bit.
@@ -163,6 +168,58 @@ halt
 	c2.Seed = 9
 	_, fresh, mf := runEngine(t, c2, simpleShot, 25, ModeCompiled)
 	requireIdentical(t, fresh, pooled, mf, m)
+}
+
+// TestMachinesOfOneTemplateShareOneCompile replays one program on
+// several machines of one template concurrently (run it under -race), on
+// both backends: every run stays bit-identical to a machine on a
+// template of its own, and every machine resolves the template's single
+// compiled entry — a second concurrent round leaves that entry in place,
+// so no machine's recording failed to validate against it.
+func TestMachinesOfOneTemplateShareOneCompile(t *testing.T) {
+	backends(t, func(t *testing.T, cfg core.Config) {
+		tmpl, err := core.NewTemplate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := asm.MustAssemble(simpleShot)
+		const shots = 30
+		machines := []*core.Machine{tmpl.NewMachine(1), tmpl.NewMachine(2), tmpl.NewMachine(3)}
+		hist := make([][][]MD, len(machines))
+		round := func() {
+			var wg sync.WaitGroup
+			for i, m := range machines {
+				m.ResetState(int64(i + 1))
+				hist[i] = nil
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st, err := Run(context.Background(), m, prog, Options{Shots: shots, Mode: ModeCompiled, OnShot: func(_ int, md []MD) {
+						hist[i] = append(hist[i], append([]MD(nil), md...))
+					}})
+					if err != nil || !st.Safe {
+						t.Errorf("machine %d: stats %+v, err %v", i, st, err)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		round()
+		entry := memoEntry(machines[0], prog)
+		if entry.c == nil {
+			t.Fatal("no compiled entry on the shared template")
+		}
+		round()
+		if memoEntry(machines[0], prog) != entry {
+			t.Error("a machine recompiled instead of resolving the shared entry")
+		}
+		for i, m := range machines {
+			c := cfg
+			c.Seed = int64(i + 1)
+			_, want, mwant := runEngine(t, c, simpleShot, shots, ModeCompiled)
+			requireIdentical(t, want, hist[i], mwant, m)
+		}
+	})
 }
 
 // BenchmarkCompiledShot measures one compiled replayed shot of the d=3
@@ -182,11 +239,10 @@ func BenchmarkCompiledShot(b *testing.B) {
 	if _, err := Run(context.Background(), m, prog, Options{Shots: detectShots + 1, Mode: ModeCompiled}); err != nil {
 		b.Fatal(err)
 	}
-	cacheMap, ok := m.ReplayCache.(map[*isa.Program]*compileCache)
-	if !ok || cacheMap[prog] == nil {
+	cache := memoEntry(m, prog)
+	if cache.c == nil {
 		b.Fatal("no compiled schedule cached")
 	}
-	cache := cacheMap[prog]
 	tr := m.State.(*qphys.Trajectory)
 	md := make([]MD, 0, cache.c.nMD)
 	measure := func(q, outcome int) {

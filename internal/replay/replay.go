@@ -29,9 +29,10 @@
 //     assembler, no pipeline, no timing queues — preserving the exact
 //     PRNG consumption order (channel sampling → projection → integration
 //     noise, in TD order), so results are bit-identical to full
-//     simulation. It is memoized on the machine (core.Machine.ReplayCache)
-//     and validated against each fresh recording, so pooled machines
-//     compile each program once per lifetime.
+//     simulation. It is memoized on the machine's template
+//     (core.Template.Compiled) and validated against each fresh
+//     recording, so all machines of a template compile each program
+//     once.
 //
 // One engine (RunBatch; Run is its one-lane form) drives every shot job.
 // It runs the lead/detect shots once per lane, then finishes each lane
@@ -103,9 +104,6 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("replay: unknown mode %q (want %q, %q or %q)",
 		s, ModeAuto, ModeCompiled, ModeOff)
 }
-
-// maxCompiledPrograms bounds the per-machine compiled-schedule memo.
-const maxCompiledPrograms = 256
 
 // detectShots is the number of leading shots executed through the full
 // pipeline in ModeAuto: shot 0 carries the cold-start transient (TD = 0,
@@ -210,8 +208,8 @@ const (
 )
 
 // op is one recorded quantum operation. Matrices and Kraus slices alias
-// the machine's rotation/decoherence cache entries, which are immutable
-// for the duration of a run — the schedule stores no copies.
+// the template's rotation/decoherence cache entries, which are immutable
+// once built — the schedule stores no copies.
 type op struct {
 	kind  uint8
 	q, qb int
@@ -254,8 +252,9 @@ func (r *recorder) Measured(q, result int) {
 }
 
 // sameMatrix reports whether two matrices are the same cached entry (or
-// both empty). Matrices in a schedule come from the machine's caches, so
-// identical operations share backing storage; value-equal matrices from
+// both empty). Matrices in a schedule come from the template's caches, so
+// identical operations share backing storage, across every machine of
+// the template; value-equal matrices from
 // different cache entries compare unequal, which errs toward fallback.
 func sameMatrix(a, b qphys.Matrix) bool {
 	if a.N != b.N || len(a.Data) != len(b.Data) {
@@ -337,12 +336,12 @@ func Run(ctx context.Context, m *core.Machine, p *isa.Program, opts Options) (St
 // and let each lane validate replay safety against its own controller
 // and caches. Only the steady-state replayed shots can run batched, and
 // only when there are several lanes, every lane independently detected
-// safety, every lane's backend is the trajectory state, and every lane's
-// recorded schedule is value-identical to lane 0's. Otherwise each lane
-// finishes on its own: replayed on its backend's compiled executor, or
-// through the full pipeline when it cannot replay. The two finishes are
-// bit-identical — batching is only ever a throughput fast path, never a
-// semantic one.
+// safety, every lane's backend is the trajectory state, and every lane
+// runs on lane 0's template and recorded the same schedule. Otherwise
+// each lane finishes on its own: replayed on its backend's compiled
+// executor, or through the full pipeline when it cannot replay. The two
+// finishes are bit-identical — batching is only ever a throughput fast
+// path, never a semantic one.
 //
 // Cancellation and failure abort the whole batch: the first error (a
 // shot failure or a context preemption, in any lane) is returned and the
@@ -423,8 +422,8 @@ func runLanes(ctx context.Context, p *isa.Program, lanes []BatchLane, shots int,
 			l.reason = replayBlocker(ln.M, s1, l.rec.sched)
 		}
 		_, traj := ln.M.State.(*qphys.Trajectory)
-		batched = batched && l.reason == "" && traj &&
-			(i == 0 || schedulesEqualValue(ls[0].rec.sched, l.rec.sched))
+		batched = batched && l.reason == "" && traj && ln.M.Template() == lanes[0].M.Template() &&
+			schedulesEqual(ls[0].rec.sched, l.rec.sched)
 	}
 	if batched {
 		return runLockstep(ctx, p, lanes, ls[0].rec.sched, lead, shots, stats)

@@ -133,12 +133,14 @@
 // of its request); reproducibility makes fairness testable
 // (TestFairDequeueServiceOrder pins the exact completion order).
 //
-// Cache lifetime: the Env (and with it every per-machine ReplayCache)
-// lives exactly as long as the Server. Invalidation is delegated
-// downward — core.Machine.UploadPulse drops compiled schedules whose
-// aliased cache entries died, and the replay engine
-// validates every memo hit against a fresh recording — so no service
-// restart is ever needed for correctness.
+// Cache lifetime: the Env — its assembly cache and one core.Template per
+// machine configuration, with the template's rotation, decoherence and
+// compiled-schedule caches — lives exactly as long as the Server.
+// Nothing needs invalidating: templates are never modified (a
+// recalibrated pulse derives a new template, core.Template.WithPulse,
+// with fresh rotation and compiled-schedule caches), and the replay
+// engine validates every memo hit against a fresh recording — so no
+// service restart is ever needed for correctness.
 //
 // Backpressure: the job queue is bounded (Config.QueueSize); a full
 // queue rejects with 429 and a Retry-After hint rather than queueing

@@ -18,6 +18,7 @@ package uop
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"quma/internal/awg"
@@ -78,6 +79,10 @@ const DefaultDelay clock.Cycle = 4
 func NewUnit() *Unit {
 	return &Unit{Delay: DefaultDelay, seqs: make(map[string]Sequence)}
 }
+
+// Clone returns a unit with the same delay and its own copy of u's
+// definitions.
+func (u *Unit) Clone() *Unit { return &Unit{Delay: u.Delay, seqs: maps.Clone(u.seqs)} }
 
 // Define stores (or replaces) the codeword sequence for a micro-operation.
 // The first step's Delta must be zero, matching the paper's Seq format.
