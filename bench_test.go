@@ -43,7 +43,7 @@ func BenchmarkFig9AllXY(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultAllXYParams()
 		p.Rounds = 50
-		res, err := expt.RunAllXY(cfg, p)
+		res, err := expt.NewEnv().RunAllXY(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func BenchmarkT1(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultSweepParams()
 		p.Rounds = 60
-		res, err := expt.RunT1(cfg, p)
+		res, err := expt.NewEnv().RunT1(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func BenchmarkRamsey(b *testing.B) {
 		for k := 0; k < 40; k++ {
 			p.DelaysCycles = append(p.DelaysCycles, k*200)
 		}
-		res, err := expt.RunRamsey(cfg, p)
+		res, err := expt.NewEnv().RunRamsey(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func BenchmarkEcho(b *testing.B) {
 		cfg.Qubit = []qphys.QubitParams{qp}
 		p := expt.DefaultSweepParams()
 		p.Rounds = 60
-		res, err := expt.RunEcho(cfg, p)
+		res, err := expt.NewEnv().RunEcho(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkRB(b *testing.B) {
 		p := expt.DefaultRBParams()
 		p.Trials = 3
 		p.Rounds = 40
-		res, err := expt.RunRB(cfg, p)
+		res, err := expt.NewEnv().RunRB(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func BenchmarkRabiCalibration(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultRabiParams()
 		p.Rounds = 60
-		res, err := expt.RunRabi(cfg, p)
+		res, err := expt.NewEnv().RunRabi(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -484,7 +484,7 @@ func BenchmarkRepCode(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		p := expt.DefaultRepCodeParams()
 		p.Rounds = 100
-		res, err := expt.RunRepCode(cfg, p)
+		res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -774,7 +774,7 @@ func BenchmarkBackendRepCode(b *testing.B) {
 				cfg.Seed = int64(i + 1)
 				p := expt.DefaultRepCodeParams()
 				p.Rounds = 100
-				res, err := expt.RunRepCode(cfg, p)
+				res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -799,7 +799,7 @@ func BenchmarkBackendRB(b *testing.B) {
 				p := expt.DefaultRBParams()
 				p.Trials = 3
 				p.Rounds = 40
-				res, err := expt.RunRB(cfg, p)
+				res, err := expt.NewEnv().RunRB(context.Background(), cfg, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -822,7 +822,7 @@ func BenchmarkBackendRepCode9Q(b *testing.B) {
 		p.DataQubits = 5
 		p.Rounds = 60
 		p.WaitCycles = 800
-		res, err := expt.RunRepCode(cfg, p)
+		res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -844,7 +844,7 @@ var replayBenchModes = []struct {
 	name string
 }{
 	{replay.ModeOff, "full"},
-	{replay.ModeCompiled, "compiled"},
+	{replay.ModeAuto, "compiled"},
 }
 
 // BenchmarkReplayRB runs randomized benchmarking — the pulse-heaviest
@@ -864,7 +864,7 @@ func BenchmarkReplayRB(b *testing.B) {
 					p.Trials = 3
 					p.Rounds = 120
 					p.Replay = mode
-					res, err := expt.RunRB(cfg, p)
+					res, err := expt.NewEnv().RunRB(context.Background(), cfg, p)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -945,7 +945,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 				p := expt.DefaultSweepParams()
 				p.Rounds = 60
 				p.Workers = workers
-				res, err := expt.RunT1(cfg, p)
+				res, err := expt.NewEnv().RunT1(context.Background(), cfg, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -968,7 +968,7 @@ func BenchmarkPhaseCode(b *testing.B) {
 		p := expt.DefaultRepCodeParams()
 		p.Rounds = 80
 		p.WaitCycles = 800
-		res, err := expt.RunPhaseCode(cfg, p)
+		res, err := expt.NewEnv().RunPhaseCode(context.Background(), cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}

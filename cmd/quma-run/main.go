@@ -3,15 +3,17 @@
 // registers, measurement counts, averaged integration results, and
 // (optionally) the deterministic-domain event timeline.
 //
-// With -shots N > 1 the program runs N times through the shot-replay
-// engine (internal/replay): the classical pipeline is simulated for the
-// leading shots and, when the program is detected replay-safe, the
-// recorded quantum schedule is replayed for the rest — bit-identical
-// results, order-of-magnitude faster on shot-heavy programs. -replay=off
-// forces full per-shot simulation. Note that replayed shots perform no
-// classical execution, so final register contents reflect the last fully
-// simulated shot; programs whose registers matter are detected unsafe and
-// fall back automatically.
+// Every run goes through the experiments' shot runner (expt.Env.RunShots)
+// on pooled machines, so quma-run shares its seeds, shard plan, lane
+// grouping and merge order with every experiment. With -shots N > 1 the
+// program runs N times through the shot-replay engine (internal/replay):
+// the classical pipeline is simulated for the leading shots and, when the
+// program is detected replay-safe, the recorded quantum schedule is
+// replayed for the rest — bit-identical results, order-of-magnitude
+// faster on shot-heavy programs. -replay=off forces full per-shot
+// simulation. Note that replayed shots perform no classical execution, so
+// final register contents reflect the last fully simulated shot; programs
+// whose registers matter are detected unsafe and fall back automatically.
 //
 // Shot counts above expt.ShotShardSize are split across the fixed shot-
 // shard plan (expt.ShotShardPlan): shard k runs on its own machine seeded
@@ -20,10 +22,10 @@
 // bit-identical for any -shot-workers value. On the trajectory backend,
 // -lanes L > 1 additionally runs groups of up to L equal-size shards in
 // lockstep on the batched SoA executor (one lane per shard, same seeds,
-// same streams — bit-identical results, higher throughput). Instruction, pulse, and
-// measurement counters sum across shards; registers, final qubit state,
-// and the timeline come from the last shard's machine; the data
-// collection unit's averages merge exactly across the shards.
+// same streams — bit-identical results, higher throughput). Instruction,
+// pulse, and measurement counters sum across shards; registers, final
+// qubit state, and the timeline come from the last shard's machine; the
+// data collection unit's averages merge exactly across the shards.
 //
 // Usage:
 //
@@ -37,70 +39,95 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"sync"
-	"sync/atomic"
-
 	"quma/internal/asm"
 	"quma/internal/core"
 	"quma/internal/expt"
 	"quma/internal/isa"
+	"quma/internal/readout"
 	"quma/internal/replay"
 )
 
 func main() {
-	var (
-		qubits      = flag.Int("qubits", 1, "number of simulated qubits (1-8 density, 1-16 trajectory)")
-		backend     = flag.String("backend", "density", "quantum-state backend: density (exact, O(4^n)) or trajectory (Monte-Carlo statevector, O(2^n))")
-		seed        = flag.Int64("seed", 1, "PRNG seed")
-		trace       = flag.Bool("trace", false, "print the deterministic-domain event timeline")
-		collect     = flag.Int("collect", 0, "enable the data collection unit with K results per round")
-		amperr      = flag.Float64("amp-error", 0, "fractional pulse amplitude miscalibration ε")
-		binary      = flag.Bool("bin", false, "input is a binary (hex words) produced by quma-asm")
-		shots       = flag.Int("shots", 1, "number of times to run the program on one machine (the shot loop of an experiment)")
-		shotWorkers = flag.Int("shot-workers", 0, "bound on concurrent shot shards when -shots exceeds the shard threshold (0 = one per CPU); results are bit-identical for any value")
-		lanes       = flag.Int("lanes", 0, "run groups of up to this many equal-size shot shards in lockstep on the batched SoA trajectory executor (0 or 1 = scalar shards); results are bit-identical for any value")
-		replayMode  = flag.String("replay", "auto", "shot-replay engine mode: auto or compiled (replay the compiled schedule when safe; interp is a legacy spelling of compiled), or off (full simulation per shot)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: quma-run [flags] <prog.qasm>")
+	err := run(os.Args[1:], os.Stdout)
+	var ue usageError
+	switch {
+	case err == nil:
+	case errors.As(err, &ue):
+		if ue != "" {
+			fmt.Fprintln(os.Stderr, ue)
+		}
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "quma-run:", err)
+		os.Exit(1)
+	}
+}
+
+// usageError is a malformed command line; main exits 2 on it, as the
+// flag package does, printing the message unless it is empty (the flag
+// package has already reported the problem).
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run executes one quma-run invocation, writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("quma-run", flag.ContinueOnError)
+	var (
+		qubits      = fs.Int("qubits", 1, "number of simulated qubits (1-8 density, 1-16 trajectory)")
+		backend     = fs.String("backend", "density", "quantum-state backend: density (exact, O(4^n)) or trajectory (Monte-Carlo statevector, O(2^n))")
+		seed        = fs.Int64("seed", 1, "PRNG seed")
+		trace       = fs.Bool("trace", false, "print the deterministic-domain event timeline")
+		collect     = fs.Int("collect", 0, "enable the data collection unit with K results per round")
+		amperr      = fs.Float64("amp-error", 0, "fractional pulse amplitude miscalibration ε")
+		binary      = fs.Bool("bin", false, "input is a binary (hex words) produced by quma-asm")
+		shots       = fs.Int("shots", 1, "number of times to run the program on one machine (the shot loop of an experiment)")
+		shotWorkers = fs.Int("shot-workers", 0, "bound on concurrent shot shards when -shots exceeds the shard threshold (0 = one per CPU); results are bit-identical for any value")
+		lanes       = fs.Int("lanes", 0, "run groups of up to this many equal-size shot shards in lockstep on the batched SoA trajectory executor (0 or 1 = scalar shards); results are bit-identical for any value")
+		replayMode  = fs.String("replay", "auto", "shot-replay engine mode: auto (replay the compiled schedule when safe; compiled and interp are other spellings of auto) or off (full simulation per shot)")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError("")
+	}
+	if fs.NArg() != 1 {
+		return usageError("usage: quma-run [flags] <prog.qasm>")
 	}
 	// Validate flag values up front with a clear non-zero exit: an
 	// unknown backend or replay mode, or a non-positive shot count, must
 	// never silently fall back to a default.
 	mode, err := validateFlags(*backend, *replayMode, *shots, *shotWorkers, *lanes)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
-		// fail() exits the process, which would skip the deferred flush
-		// and truncate the profile — precisely when profiling a failing
-		// hot path. Flush before any error exit.
-		cpuProfiling = true
 	}
 
 	cfg := core.DefaultConfig()
@@ -111,197 +138,128 @@ func main() {
 	cfg.AmplitudeError = *amperr
 	cfg.TraceEvents = *trace
 
-	tmpl, err := core.NewTemplate(cfg)
-	if err != nil {
-		fail(err)
-	}
-	m := tmpl.NewMachine(cfg.Seed)
-
 	var prog *isa.Program
 	if *binary {
-		var words []uint32
-		for lineNo, line := range strings.Split(string(src), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			var word uint32
-			if _, err := fmt.Sscanf(line, "%x", &word); err != nil {
-				fail(fmt.Errorf("line %d: %q is not a hex word", lineNo+1, line))
-			}
-			words = append(words, word)
-		}
-		prog, err = isa.DecodeProgram(words, isa.StandardSymbols())
+		prog, err = decodeHex(string(src))
 	} else {
 		prog, err = asm.Assemble(string(src))
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	machines := []*core.Machine{m}
+	// finish copies what the report needs out of each shard's machine
+	// before the machine goes back to the pool: counters and collectors
+	// from every shard, the final machine state from the last.
 	plan := expt.ShotShardPlan(*shots)
-	switch {
-	case *shots == 1:
-		if err := m.RunProgram(prog); err != nil {
-			fail(err)
-		}
-	case plan == nil:
-		stats, err := replay.Run(context.Background(), m, prog, replay.Options{Shots: *shots, Mode: mode})
-		if err != nil {
-			fail(err)
-		}
-		printEngine(stats)
-	default:
-		stats, shardMachines, err := runSharded(tmpl, cfg.Seed, prog, plan, *shotWorkers, *lanes, mode)
-		if err != nil {
-			fail(err)
-		}
-		machines = shardMachines
-		m = machines[len(machines)-1]
-		// Lead/Overhead come from the merged engine stats: overhead is
-		// the recording cost sharding added over an unsharded run (zero
-		// at or below the shard threshold, where this line never prints).
-		fmt.Printf("shot-shard plan: %d shards of ≤%d shots (%d lead/detect shots, %d sharding overhead)\n",
-			len(plan), expt.ShotShardSize, stats.Lead, stats.Overhead)
-		printEngine(stats)
+	n := max(len(plan), 1)
+	steps := make([]uint64, n)
+	pulses := make([]uint64, n)
+	measurements := make([]uint64, n)
+	cols := make([]*readout.DataCollector, n)
+	var (
+		regs      [isa.NumRegs]int64
+		probs     []float64
+		footprint int
+		timeline  []core.TraceEntry
+	)
+	stats, err := expt.NewEnv().RunShots(context.Background(), cfg, prog, *shots, *shotWorkers, *lanes, mode,
+		func(k int, m *core.Machine, _ replay.Stats) error {
+			steps[k], pulses[k], measurements[k] = m.Controller.Steps, m.PulsesPlayed, m.Measurements
+			if m.Collector != nil {
+				cols[k] = m.Collector.Clone()
+			}
+			if k == n-1 {
+				regs = m.Controller.Regs
+				for q := 0; q < *qubits; q++ {
+					probs = append(probs, m.State.ProbExcited(q))
+				}
+				footprint = m.MemoryFootprintBytes()
+				timeline = m.Trace()
+			}
+			return nil
+		})
+	if err != nil {
+		return err
 	}
 
-	var steps, pulses, measurements uint64
-	for _, sm := range machines {
-		steps += sm.Controller.Steps
-		pulses += sm.PulsesPlayed
-		measurements += sm.Measurements
+	if plan != nil {
+		// Lead/Overhead come from the merged engine stats: overhead is
+		// the recording cost sharding added over an unsharded run.
+		fmt.Fprintf(stdout, "shot-shard plan: %d shards of ≤%d shots (%d lead/detect shots, %d sharding overhead)\n",
+			len(plan), expt.ShotShardSize, stats.Lead, stats.Overhead)
 	}
-	fmt.Printf("program completed: %d instructions executed\n", steps)
-	fmt.Printf("pulses played: %d, measurements: %d\n", pulses, measurements)
-	fmt.Printf("CTPG memory footprint: %d bytes (12-bit samples)\n", m.MemoryFootprintBytes())
-	fmt.Println("registers:")
-	for r, v := range m.Controller.Regs {
+	if *shots > 1 {
+		if stats.Safe {
+			fmt.Fprintf(stdout, "shot-replay engine: %d/%d shots replayed from the compiled schedule\n", stats.Replayed, stats.Shots)
+		} else {
+			fmt.Fprintf(stdout, "shot-replay engine: full simulation (%s)\n", stats.Reason)
+		}
+	}
+	fmt.Fprintf(stdout, "program completed: %d instructions executed\n", sum(steps))
+	fmt.Fprintf(stdout, "pulses played: %d, measurements: %d\n", sum(pulses), sum(measurements))
+	fmt.Fprintf(stdout, "CTPG memory footprint: %d bytes (12-bit samples)\n", footprint)
+	fmt.Fprintln(stdout, "registers:")
+	for r, v := range regs {
 		if v != 0 {
-			fmt.Printf("  r%-2d = %d\n", r, v)
+			fmt.Fprintf(stdout, "  r%-2d = %d\n", r, v)
 		}
 	}
-	for q := 0; q < *qubits; q++ {
-		fmt.Printf("qubit %d final P(|1>) = %.4f\n", q, m.State.ProbExcited(q))
+	for q, p := range probs {
+		fmt.Fprintf(stdout, "qubit %d final P(|1>) = %.4f\n", q, p)
 	}
-	if m.Collector != nil {
-		// Merge the shard collectors exactly: sums and counts added in
-		// shard order, divided once (identical to a single collector when
-		// there is one machine).
-		sums := make([]float64, m.Collector.K)
-		counts := make([]int, m.Collector.K)
-		rounds := 0
-		for _, sm := range machines {
-			for i, s := range sm.Collector.Sums() {
-				sums[i] += s
-			}
-			for i, c := range sm.Collector.Counts() {
-				counts[i] += c
-			}
-			rounds += sm.Collector.Rounds()
-		}
-		fmt.Printf("data collection unit: %d complete rounds, averages:\n", rounds)
-		for i := range sums {
-			avg := 0.0
-			if counts[i] > 0 {
-				avg = sums[i] / float64(counts[i])
-			}
-			fmt.Printf("  S[%d] = %.4f\n", i, avg)
+	if cols[0] != nil {
+		merged := readout.MergeCollectors(cols)
+		fmt.Fprintf(stdout, "data collection unit: %d complete rounds, averages:\n", merged.Rounds())
+		for i, avg := range merged.Averages() {
+			fmt.Fprintf(stdout, "  S[%d] = %.4f\n", i, avg)
 		}
 	}
 	if *trace {
-		fmt.Println("deterministic-domain timeline:")
-		for _, e := range m.Trace() {
-			fmt.Println("  " + e.String())
+		fmt.Fprintln(stdout, "deterministic-domain timeline:")
+		for _, e := range timeline {
+			fmt.Fprintln(stdout, "  "+e.String())
 		}
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fail(err)
+			return err
 		}
 	}
+	return nil
 }
 
-// printEngine reports what the shot-replay engine did.
-func printEngine(stats replay.Stats) {
-	if stats.Safe {
-		fmt.Printf("shot-replay engine: %d/%d shots replayed from the compiled schedule\n", stats.Replayed, stats.Shots)
-	} else {
-		fmt.Printf("shot-replay engine: full simulation (%s)\n", stats.Reason)
-	}
-}
-
-// runSharded executes the shot-shard plan: shard k runs plan[k] shots on
-// a fresh machine of tmpl seeded expt.DeriveSeed(seed, k) with its global
-// shot offset as replay.Options.BaseShot. Every machine shares tmpl, the
-// condition for lockstep batching. With lanes > 1 the shards are
-// partitioned into lockstep batch groups (expt.LaneGroups) and each
-// group runs as one replay.RunBatch call — one lane per shard, same
-// seeds, same streams, so the grouping can never change a result byte.
-// Up to `workers` groups run concurrently (0 = one per CPU). Stats
-// merge in shard order; the machines return in shard order too, so the
-// caller's "last machine" state is deterministic.
-func runSharded(tmpl *core.Template, seed int64, prog *isa.Program, plan []int, workers, lanes int, mode replay.Mode) (replay.Stats, []*core.Machine, error) {
-	if mode == replay.ModeOff {
-		lanes = 1 // full-pipeline shots have no batched executor
-	}
-	groups := expt.LaneGroups(plan, lanes)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	starts := make([]int, len(plan))
-	for k := 1; k < len(plan); k++ {
-		starts[k] = starts[k-1] + plan[k-1]
-	}
-	machines := make([]*core.Machine, len(plan))
-	statsv := make([]replay.Stats, len(plan))
-	errs := make([]error, len(groups))
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				gi := int(next.Add(1))
-				if gi >= len(groups) {
-					return
-				}
-				g0, g1 := groups[gi][0], groups[gi][1]
-				bl := make([]replay.BatchLane, 0, g1-g0)
-				for k := g0; k < g1; k++ {
-					machines[k] = tmpl.NewMachine(expt.DeriveSeed(seed, k))
-					bl = append(bl, replay.BatchLane{M: machines[k], BaseShot: starts[k]})
-				}
-				sts, err := replay.RunBatch(context.Background(), prog, bl, plan[g0], mode)
-				copy(statsv[g0:g1], sts)
-				errs[gi] = err
-			}
-		}()
-	}
-	wg.Wait()
-	for gi := range groups {
-		if errs[gi] != nil {
-			return replay.Stats{}, nil, errs[gi]
+// decodeHex decodes a quma-asm binary: one hex instruction word per
+// line, blank lines and #-comments ignored.
+func decodeHex(src string) (*isa.Program, error) {
+	var words []uint32
+	for lineNo, line := range strings.Split(src, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
+		var word uint32
+		if _, err := fmt.Sscanf(line, "%x", &word); err != nil {
+			return nil, fmt.Errorf("line %d: %q is not a hex word", lineNo+1, line)
+		}
+		words = append(words, word)
 	}
-	var merged replay.Stats
-	for k := range plan {
-		merged.Merge(statsv[k])
+	return isa.DecodeProgram(words, isa.StandardSymbols())
+}
+
+func sum(xs []uint64) uint64 {
+	var t uint64
+	for _, x := range xs {
+		t += x
 	}
-	return merged, machines, nil
+	return t
 }
 
 // validateFlags rejects unknown -backend/-replay values, non-positive
@@ -328,16 +286,4 @@ func validateFlags(backend, replayMode string, shots, shotWorkers, lanes int) (r
 		return "", fmt.Errorf("invalid -replay value: %w", err)
 	}
 	return mode, nil
-}
-
-// cpuProfiling records that a CPU profile is active, so fail can flush
-// it before os.Exit skips the deferred stop.
-var cpuProfiling bool
-
-func fail(err error) {
-	if cpuProfiling {
-		pprof.StopCPUProfile()
-	}
-	fmt.Fprintln(os.Stderr, "quma-run:", err)
-	os.Exit(1)
 }

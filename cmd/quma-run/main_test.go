@@ -13,8 +13,8 @@ func TestValidateFlags(t *testing.T) {
 		want                      replay.Mode
 	}{
 		{"density", "auto", 1, 0, 0, replay.ModeAuto},
-		{"trajectory", "compiled", 10000, 0, 8, replay.ModeCompiled},
-		{"trajectory", "interp", 2, 1, 0, replay.ModeCompiled}, // legacy spelling
+		{"trajectory", "compiled", 10000, 0, 8, replay.ModeAuto}, // legacy spelling
+		{"trajectory", "interp", 2, 1, 0, replay.ModeAuto},       // legacy spelling
 		{"density", "off", 5, 8, 1, replay.ModeOff},
 		{"density", "", 1, 0, 0, replay.ModeAuto},
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -356,7 +357,7 @@ func printFig9() error {
 	cfg.Seed = *seed
 	p := expt.DefaultAllXYParams()
 	p.Rounds = *rounds
-	res, err := expt.RunAllXY(cfg, p)
+	res, err := expt.NewEnv().RunAllXY(context.Background(), cfg, p)
 	if err != nil {
 		return err
 	}
@@ -368,7 +369,7 @@ func printFig9() error {
 func printT1() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunT1(cfg, expt.DefaultSweepParams())
+	res, err := expt.NewEnv().RunT1(context.Background(), cfg, expt.DefaultSweepParams())
 	if err != nil {
 		return err
 	}
@@ -391,7 +392,7 @@ func printRamsey() error {
 	for i := 0; i < 40; i++ {
 		p.DelaysCycles = append(p.DelaysCycles, i*200)
 	}
-	res, err := expt.RunRamsey(cfg, p)
+	res, err := expt.NewEnv().RunRamsey(context.Background(), cfg, p)
 	if err != nil {
 		return err
 	}
@@ -410,7 +411,7 @@ func printEcho() error {
 	qp := qphys.DefaultQubitParams()
 	qp.FreqDetuningHz = 100e3
 	cfg.Qubit = []qphys.QubitParams{qp}
-	res, err := expt.RunEcho(cfg, expt.DefaultSweepParams())
+	res, err := expt.NewEnv().RunEcho(context.Background(), cfg, expt.DefaultSweepParams())
 	if err != nil {
 		return err
 	}
@@ -425,7 +426,7 @@ func printEcho() error {
 func printRB() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunRB(cfg, expt.DefaultRBParams())
+	res, err := expt.NewEnv().RunRB(context.Background(), cfg, expt.DefaultRBParams())
 	if err != nil {
 		return err
 	}
@@ -491,7 +492,7 @@ halt
 func printRabi() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunRabi(cfg, expt.DefaultRabiParams())
+	res, err := expt.NewEnv().RunRabi(context.Background(), cfg, expt.DefaultRabiParams())
 	if err != nil {
 		return err
 	}
@@ -502,7 +503,7 @@ func printRabi() error {
 func printRepCode() error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	res, err := expt.RunRepCode(cfg, expt.DefaultRepCodeParams())
+	res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, expt.DefaultRepCodeParams())
 	if err != nil {
 		return err
 	}
@@ -518,7 +519,7 @@ func printPhaseCode() error {
 	}
 	p := expt.DefaultRepCodeParams()
 	p.WaitCycles = 800
-	res, err := expt.RunPhaseCode(cfg, p)
+	res, err := expt.NewEnv().RunPhaseCode(context.Background(), cfg, p)
 	if err != nil {
 		return err
 	}

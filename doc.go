@@ -143,7 +143,7 @@
 //     each measurement. Every pricing decision feeds on the same float64
 //     inputs as the full pipeline's ApplyKraus1, so the selected Kraus
 //     operators, outcomes, and results are bit-identical across
-//     off/compiled for every decoherent configuration. Two qualified slacks remain:
+//     off and auto for every decoherent configuration. Two qualified slacks remain:
 //     the sign of zeros from real-coefficient scaling (observable by
 //     nothing), and — only when decoherence is disabled outright —
 //     unitary fusion, which makes amplitudes float-equivalent rather
@@ -184,7 +184,8 @@
 // executes its own lead/detect shots plus its slice of the replay loop,
 // and results merge in shard order (measurement streams buffered
 // per shard and delivered with global shot indices; collector averages
-// recomputed exactly from per-shard sums and counts). The result is
+// recomputed exactly from per-shard sums and counts by
+// readout.MergeCollectors). The result is
 // bit-identical for any ShotWorkers value (0 = all CPUs), on both
 // backends, in every replay mode. Shot counts at or below ShotShardSize
 // keep the legacy single PRNG stream exactly; above it the stream layout
@@ -193,7 +194,10 @@
 // version bumped (service.ResultSchemaVersion). The chunked
 // repetition-code experiments keep their historical fixed chunk plan and
 // DeriveSeed2 seeds, so their results are bit-identical to every
-// prior release. Sharded error handling preserves the taxonomy: an
+// prior release. cmd/quma-run runs on the same runner
+// (expt.Env.RunShots), so a command-line shot job shares the plan,
+// seeds, lane grouping and merge order of every experiment. Sharded
+// error handling preserves the taxonomy: an
 // injected or real panic in one shard cancels its siblings but is
 // reported itself (never masked by the sibling aborts it caused), and
 // cancellation mid-shard still aborts without perturbing
@@ -214,7 +218,7 @@
 // concurrency, queue order, worker count, or which pooled machine
 // served it. internal/conformance adds the randomized differential
 // layer that keeps the whole execution matrix — {density, trajectory} ×
-// {off, auto, compiled} — agreeing on generated programs, safe
+// {off, auto} — agreeing on generated programs, safe
 // and unsafe alike. See the package documentation of internal/service
 // for the API and the invariant list.
 //

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -53,7 +54,7 @@ func main() {
 		p := expt.DefaultRepCodeParams()
 		p.Rounds = *rounds
 		p.WaitCycles = waitCycles
-		res, err := expt.RunRepCode(cfg, p)
+		res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func main() {
 	p.DataQubits = 5
 	p.Rounds = *rounds
 	p.WaitCycles = 800
-	res, err := expt.RunRepCode(cfg, p)
+	res, err := expt.NewEnv().RunRepCode(context.Background(), cfg, p)
 	if err != nil {
 		log.Fatal(err)
 	}

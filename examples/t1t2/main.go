@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,7 +32,7 @@ func main() {
 	cfg.Seed = *seed
 	p := expt.DefaultSweepParams()
 	p.Rounds = *rounds
-	t1, err := expt.RunT1(cfg, p)
+	t1, err := expt.NewEnv().RunT1(context.Background(), cfg, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 	for i := 0; i < 40; i++ {
 		pr.DelaysCycles = append(pr.DelaysCycles, i*200) // 1 µs steps
 	}
-	ram, err := expt.RunRamsey(cfg, pr)
+	ram, err := expt.NewEnv().RunRamsey(context.Background(), cfg, pr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func main() {
 	cfg.Qubit = []qphys.QubitParams{qpd}
 	pe := expt.DefaultSweepParams()
 	pe.Rounds = *rounds
-	echo, err := expt.RunEcho(cfg, pe)
+	echo, err := expt.NewEnv().RunEcho(context.Background(), cfg, pe)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,8 +20,8 @@ import (
 var committedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
 
 // allModes is the full replay axis of the execution matrix; with both
-// backends it spans 6 combinations.
-var allModes = []replay.Mode{replay.ModeOff, replay.ModeAuto, replay.ModeCompiled}
+// backends it spans 4 combinations.
+var allModes = []replay.Mode{replay.ModeOff, replay.ModeAuto}
 
 var backends = []core.Backend{core.BackendDensity, core.BackendTrajectory}
 

@@ -77,9 +77,9 @@ type AllXYParams struct {
 	// shard — same seeds, same streams). Results are bit-identical for
 	// any value; see shotshard.go.
 	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff or
-	// ModeCompiled (default auto = compiled). Results are bit-identical
-	// for either value — see internal/replay.
+	// Replay selects the shot-replay engine mode: replay.ModeAuto (the
+	// default) or replay.ModeOff. Results are bit-identical for either
+	// value — see internal/replay.
 	Replay replay.Mode
 }
 
@@ -178,11 +178,6 @@ type AllXYResult struct {
 // DeriveSeed(cfg.Seed, pair), with the Rounds averaging loop hoisted into
 // the shot-replay engine. cfg.CollectK and cfg.NumQubits are set as
 // needed.
-func RunAllXY(cfg core.Config, p AllXYParams) (*AllXYResult, error) {
-	return NewEnv().RunAllXY(context.Background(), cfg, p)
-}
-
-// RunAllXY runs the AllXY experiment on the environment's shared pools.
 func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*AllXYResult, error) {
 	if p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: Rounds must be positive")
@@ -206,13 +201,10 @@ func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*Al
 		if err != nil {
 			return err
 		}
-		// Per-shard collector sums and counts, merged exactly in shard
-		// order after the job (one shard reproduces Averages() bit for
-		// bit). Pulse counts sum across shards; the LUT footprint is a
+		// Pulse counts sum across shards; the LUT footprint is a
 		// per-config constant, so shard 0's value stands for the point.
 		nshards := shardCount(plan)
-		sums := make([][]float64, nshards)
-		counts := make([][]int, nshards)
+		cols := make([]*readout.DataCollector, nshards)
 		shardPulses := make([]uint64, nshards)
 		_, err = runShotJobSharded(ctx, pool, DeriveSeed(cfg.Seed, i), prog, p.Rounds, plan, p.ShotWorkers, p.BatchLanes, p.Replay, nil,
 			func(k int, m *core.Machine, _ replay.Stats) error {
@@ -220,8 +212,7 @@ func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*Al
 				if got := m.Collector.Rounds(); got != want {
 					return fmt.Errorf("expt: pair %s shard %d collected %d rounds, want %d", pairs[i].Label, k, got, want)
 				}
-				sums[k] = m.Collector.Sums()
-				counts[k] = m.Collector.Counts()
+				cols[k] = m.Collector.Clone()
 				shardPulses[k] = m.PulsesPlayed
 				if k == 0 {
 					memBytes[i] = m.MemoryFootprintBytes()
@@ -234,17 +225,7 @@ func (e *Env) RunAllXY(ctx context.Context, cfg core.Config, p AllXYParams) (*Al
 		for _, n := range shardPulses {
 			pulses[i] += n
 		}
-		for r := 0; r < reps; r++ {
-			var sum float64
-			var n int
-			for k := 0; k < nshards; k++ {
-				sum += sums[k][r]
-				n += counts[k][r]
-			}
-			if n > 0 {
-				raw[i*reps+r] = sum / float64(n)
-			}
-		}
+		copy(raw[i*reps:(i+1)*reps], readout.MergeCollectors(cols).Averages())
 		return nil
 	})
 	if err != nil {

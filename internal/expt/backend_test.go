@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestT1BackendsAgree(t *testing.T) {
 		t.Helper()
 		cfg := core.DefaultConfig()
 		cfg.Backend = b
-		res, err := RunT1(cfg, p)
+		res, err := NewEnv().RunT1(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -59,7 +60,7 @@ func TestRamseyBackendsAgree(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Backend = b
 		cfg.Qubit = []qphys.QubitParams{qp}
-		res, err := RunRamsey(cfg, p)
+		res, err := NewEnv().RunRamsey(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -85,7 +86,7 @@ func TestAllXYBackendsAgree(t *testing.T) {
 		t.Helper()
 		cfg := core.DefaultConfig()
 		cfg.Backend = b
-		res, err := RunAllXY(cfg, p)
+		res, err := NewEnv().RunAllXY(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -112,7 +113,7 @@ func TestRabiTrajectoryBackendCalibrates(t *testing.T) {
 	cfg.Backend = core.BackendTrajectory
 	p := DefaultRabiParams()
 	p.Rounds = 120
-	res, err := RunRabi(cfg, p)
+	res, err := NewEnv().RunRabi(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestTrajectoryExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			cfg.Backend = core.BackendTrajectory
 			q := p
 			q.Workers = workers
-			res, err := RunT1(cfg, q)
+			res, err := NewEnv().RunT1(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +159,7 @@ func TestTrajectoryExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			cfg.Backend = core.BackendTrajectory
 			q := p
 			q.Workers = workers
-			res, err := RunRepCode(cfg, q)
+			res, err := NewEnv().RunRepCode(context.Background(), cfg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,12 +183,12 @@ func TestRepCodeNineQubitsRunsOnTrajectoryOnly(t *testing.T) {
 	p.WaitCycles = 800
 
 	cfg := core.DefaultConfig()
-	if _, err := RunRepCode(cfg, p); err == nil {
+	if _, err := NewEnv().RunRepCode(context.Background(), cfg, p); err == nil {
 		t.Fatal("9-qubit repetition code must fail on the density backend")
 	}
 
 	cfg.Backend = core.BackendTrajectory
-	res, err := RunRepCode(cfg, p)
+	res, err := NewEnv().RunRepCode(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestRepCodeDistanceFiveSyndromeDecode(t *testing.T) {
 func TestRepCodeRejectsEvenDistance(t *testing.T) {
 	p := DefaultRepCodeParams()
 	p.DataQubits = 4
-	if _, err := RunRepCode(core.DefaultConfig(), p); err == nil {
+	if _, err := NewEnv().RunRepCode(context.Background(), core.DefaultConfig(), p); err == nil {
 		t.Error("even DataQubits must fail (majority vote needs odd)")
 	}
 }

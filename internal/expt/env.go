@@ -1,9 +1,9 @@
 package expt
 
 // env.go promotes the sweep engine's per-call caches to caller-controlled
-// lifetime. Every experiment entry point is a method on Env; the plain
-// RunX functions construct a fresh Env per call (the historical per-sweep
-// behaviour), while a long-lived caller — the batch experiment service in
+// lifetime. Every experiment entry point is a method on Env. A one-off
+// caller (an example, quma-tables, quma-run) builds a fresh Env per run,
+// while a long-lived caller — the batch experiment service in
 // internal/service — holds one Env for its whole life so that:
 //
 //   - each distinct program text assembles exactly once per Env, not once
@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"quma/internal/core"
+	"quma/internal/isa"
 	"quma/internal/replay"
 )
 
@@ -230,9 +231,15 @@ func (e *Env) RunProgram(ctx context.Context, cfg core.Config, p ProgramParams) 
 	return res, nil
 }
 
-// RunProgram runs a raw-assembly shot program on a fresh environment
-// with no cancellation (context.Background()), preserving the
-// historical entry-point shape.
-func RunProgram(cfg core.Config, p ProgramParams) (*ProgramResult, error) {
-	return NewEnv().RunProgram(context.Background(), cfg, p)
+// RunShots runs an assembled program shots times on cfg's pooled
+// machines, exactly as every experiment runs a sweep point: on the
+// ShotShardPlan(shots) shards seeded from cfg.Seed, up to shotWorkers
+// at once (0 = one per CPU), with groups of up to lanes equal-size
+// shards in lockstep (see shotshard.go). finish receives each shard's
+// machine and engine stats before the machine returns to the pool, so
+// it must copy what it keeps and write only shard-indexed slots. The
+// returned stats are the shard-order merge.
+func (e *Env) RunShots(ctx context.Context, cfg core.Config, prog *isa.Program, shots, shotWorkers, lanes int, mode replay.Mode,
+	finish func(shard int, m *core.Machine, st replay.Stats) error) (replay.Stats, error) {
+	return runShotJobSharded(ctx, e.poolFor(cfg), cfg.Seed, prog, shots, ShotShardPlan(shots), shotWorkers, lanes, mode, nil, finish)
 }

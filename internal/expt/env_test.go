@@ -35,11 +35,11 @@ func TestSharedEnvMatchesFreshEnv(t *testing.T) {
 	pp := ProgramParams{Source: envTestProgram, Shots: 60}
 
 	// Reference results from fresh per-call environments.
-	wantT1, err := RunT1(cfg, sp)
+	wantT1, err := NewEnv().RunT1(context.Background(), cfg, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProg, err := RunProgram(cfg, pp)
+	wantProg, err := NewEnv().RunProgram(context.Background(), cfg, pp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRabiThenAllXYMatchesFreshEnv(t *testing.T) {
 	cfg.Seed = 5
 	ap := DefaultAllXYParams()
 	ap.Rounds = 10
-	want, err := RunAllXY(cfg, ap)
+	want, err := NewEnv().RunAllXY(context.Background(), cfg, ap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSharedEnvConcurrentRequestsAreBitIdentical(t *testing.T) {
 	cfg.Backend = core.BackendTrajectory
 	cfg.Seed = 23
 	pp := ProgramParams{Source: envTestProgram, Shots: 50}
-	want, err := RunProgram(cfg, pp)
+	want, err := NewEnv().RunProgram(context.Background(), cfg, pp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestCorrectedRepCodeFallbackAcrossModesAndPooling(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, want := runShots(t, mRef, src, shots, replay.ModeOff)
-		for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled, replay.ModeAuto} {
+		for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeAuto} {
 			// Fresh machine.
 			mf, err := core.New(cfg)
 			if err != nil {
@@ -115,14 +115,14 @@ func TestPhaseCodeActiveResetAcrossAllModes(t *testing.T) {
 	p.Rounds = 60
 	p.WaitCycles = 800
 	var want *PhaseCodeResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeAuto} {
 		cfg := core.DefaultConfig()
 		for i := 0; i < 5; i++ {
 			cfg.Qubit = append(cfg.Qubit, DephasingQubit(20e-6))
 		}
 		q := p
 		q.Replay = mode
-		res, err := RunPhaseCode(cfg, q)
+		res, err := NewEnv().RunPhaseCode(context.Background(), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}

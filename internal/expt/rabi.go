@@ -49,9 +49,9 @@ type RabiParams struct {
 	// shard — same seeds, same streams). Results are bit-identical for
 	// any value; see shotshard.go.
 	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff or
-	// ModeCompiled (default auto = compiled). Results are bit-identical
-	// for either value — see internal/replay.
+	// Replay selects the shot-replay engine mode: replay.ModeAuto (the
+	// default) or replay.ModeOff. Results are bit-identical for either
+	// value — see internal/replay.
 	Replay replay.Mode
 }
 
@@ -72,7 +72,7 @@ type RabiResult struct {
 	// Excited is the measured P(|1⟩) per scale point.
 	Excited []float64
 	// Fit is the fitted oscillation (x = amplitude scale).
-	Fit fit.DampedCosine
+	Fit fit.RabiFringe
 	// PiScale is the extracted amplitude scale of a π rotation: the
 	// half-period of the oscillation. 1.0 means the nominal calibration
 	// was already correct.
@@ -87,14 +87,9 @@ type RabiResult struct {
 // the fitted PiScale times the nominal amplitude is the corrected
 // calibration. The fixed-phase fit (fit.FitRabi) keeps the extraction
 // robust to the per-point shot noise that independent seeding introduces.
-func RunRabi(cfg core.Config, p RabiParams) (*RabiResult, error) {
-	return NewEnv().RunRabi(context.Background(), cfg, p)
-}
-
-// RunRabi runs the Rabi calibration sweep on the environment's shared
-// pools. Each point derives its own template (core.Template.WithPulse)
-// and never modifies the pool's, so sharing machines with other
-// experiments is safe in both directions.
+// The points' templates derive from the pool's (core.Template.WithPulse)
+// and never modify it, so sharing machines with other experiments is
+// safe in both directions.
 func (e *Env) RunRabi(ctx context.Context, cfg core.Config, p RabiParams) (*RabiResult, error) {
 	if len(p.Scales) < 8 || p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: Rabi sweep needs ≥8 scales and ≥1 round")

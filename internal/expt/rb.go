@@ -40,9 +40,9 @@ type RBParams struct {
 	// shard — same seeds, same streams). Results are bit-identical for
 	// any value; see shotshard.go.
 	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff or
-	// ModeCompiled (default auto = compiled). Results are bit-identical
-	// for either value — see internal/replay.
+	// Replay selects the shot-replay engine mode: replay.ModeAuto (the
+	// default) or replay.ModeOff. Results are bit-identical for either
+	// value — see internal/replay.
 	Replay replay.Mode
 }
 
@@ -97,11 +97,6 @@ func rbShotProgram(p RBParams, pulses []string) string {
 // shot loop in the replay engine (RB sequences are feedback-free, so
 // shots past the detection prefix replay the recorded schedule) — and
 // fits the exponential decay of the ground-state survival probability.
-func RunRB(cfg core.Config, p RBParams) (*RBResult, error) {
-	return NewEnv().RunRB(context.Background(), cfg, p)
-}
-
-// RunRB runs randomized benchmarking on the environment's shared pools.
 func (e *Env) RunRB(ctx context.Context, cfg core.Config, p RBParams) (*RBResult, error) {
 	if len(p.Lengths) < 3 || p.Trials < 1 || p.Rounds < 1 {
 		return nil, fmt.Errorf("expt: RB needs ≥3 lengths and ≥1 trial/round")

@@ -53,9 +53,9 @@ type RepCodeParams struct {
 	// shard — same seeds, same streams). Results are bit-identical for
 	// any value; see shotshard.go.
 	BatchLanes int
-	// Replay selects the shot-replay engine mode: replay.ModeOff or
-	// ModeCompiled (default auto = compiled). Results are bit-identical
-	// for either value — see internal/replay. The feedback-corrected
+	// Replay selects the shot-replay engine mode: replay.ModeAuto (the
+	// default) or replay.ModeOff. Results are bit-identical for either
+	// value — see internal/replay. The feedback-corrected
 	// variant always falls back to full simulation: its pulse schedule
 	// depends on the measured syndromes.
 	Replay replay.Mode
@@ -303,12 +303,6 @@ type RepCodeResult struct {
 // DeriveSeed2(cfg.Seed, variant, chunk). cfg.Backend selects the state
 // substrate;
 // p.DataQubits ≥ 5 (9+ total qubits) requires core.BackendTrajectory.
-func RunRepCode(cfg core.Config, p RepCodeParams) (*RepCodeResult, error) {
-	return NewEnv().RunRepCode(context.Background(), cfg, p)
-}
-
-// RunRepCode runs the repetition-code memory experiment on the
-// environment's shared pools.
 func (e *Env) RunRepCode(ctx context.Context, cfg core.Config, p RepCodeParams) (*RepCodeResult, error) {
 	if p.Rounds <= 0 {
 		return nil, fmt.Errorf("expt: Rounds must be positive")

@@ -106,14 +106,14 @@ type shardStream struct {
 	lens []int
 }
 
-// LaneGroups partitions the shards of a plan into lockstep batch
+// laneGroups partitions the shards of a plan into lockstep batch
 // groups: maximal runs of consecutive equal-size shards, sliced to at
 // most lanes members each. Each group is a [start, end) shard-index
 // range. lanes <= 1 yields singleton groups (the scalar per-shard
 // path). Grouping is a pure function of (plan, lanes) — but results do
 // not depend on it at all: every lane of a batch is bit-identical to
 // its scalar shard, so any grouping produces the same bytes.
-func LaneGroups(plan []int, lanes int) [][2]int {
+func laneGroups(plan []int, lanes int) [][2]int {
 	groups := make([][2]int, 0, len(plan))
 	if lanes < 1 {
 		lanes = 1
@@ -138,7 +138,7 @@ func LaneGroups(plan []int, lanes int) [][2]int {
 // callback delivery, bit-identical to the pre-sharding engine.
 //
 // batchLanes > 1 opts eligible shards into lockstep batching: groups of
-// consecutive equal-size shards (LaneGroups) run as one replay.RunBatch
+// consecutive equal-size shards (laneGroups) run as one replay.RunBatch
 // invocation — per-lane machines, seeds, and streams unchanged — with
 // up to shotWorkers groups in flight instead of shards. ModeOff, which
 // has no batched executor, ignores the knob. Result bytes are
@@ -192,7 +192,7 @@ func runShotJobSharded(ctx context.Context, mp *machinePool, pointSeed int64, pr
 		// keep the per-shard scheduling (one shard per pool slot).
 		lanes = 1
 	}
-	groups := LaneGroups(plan, lanes)
+	groups := laneGroups(plan, lanes)
 	bufs := make([]shardStream, len(plan))
 	statsv := make([]replay.Stats, len(plan))
 	errs := make([]error, len(plan))

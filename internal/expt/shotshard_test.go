@@ -87,7 +87,7 @@ func TestRunProgramStreamIdenticalAcrossShotWorkers(t *testing.T) {
 	src := "mov r15, 40\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nMPG {q1}, 300\nMD {q1}, r8\nhalt\n"
 	env := NewEnv()
 	var ref *ProgramResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeAuto} {
 		for _, sw := range shardWorkerCounts() {
 			res, err := env.RunProgram(context.Background(), cfg, ProgramParams{Source: src, Shots: 552, Replay: mode, ShotWorkers: sw})
 			if err != nil {
@@ -157,7 +157,7 @@ func TestRepCodeMatchesLegacyChunkFanout(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, sw := range shardWorkerCounts() {
 			p.Workers, p.ShotWorkers = workers, sw
-			res, err := RunRepCode(cfg, p)
+			res, err := NewEnv().RunRepCode(context.Background(), cfg, p)
 			if err != nil {
 				t.Fatalf("Workers=%d ShotWorkers=%d: %v", workers, sw, err)
 			}
@@ -240,8 +240,8 @@ func TestLaneGroups(t *testing.T) {
 		{[]int{256}, 4, [][2]int{{0, 1}}},
 	}
 	for _, c := range cases {
-		if got := LaneGroups(c.plan, c.lanes); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("LaneGroups(%v, %d) = %v, want %v", c.plan, c.lanes, got, c.want)
+		if got := laneGroups(c.plan, c.lanes); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("laneGroups(%v, %d) = %v, want %v", c.plan, c.lanes, got, c.want)
 		}
 	}
 }
@@ -259,7 +259,7 @@ func TestRunProgramStreamIdenticalAcrossBatchLanes(t *testing.T) {
 	src := "mov r15, 40\nQNopReg r15\nPulse {q0}, X90\nWait 4\nMPG {q0}, 300\nMD {q0}, r7\nMPG {q1}, 300\nMD {q1}, r8\nhalt\n"
 	env := NewEnv()
 	var ref *ProgramResult
-	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeCompiled, replay.ModeAuto} {
+	for _, mode := range []replay.Mode{replay.ModeOff, replay.ModeAuto} {
 		for _, lanes := range []int{0, 1, 2, 3, 8} {
 			for _, sw := range []int{1, 4} {
 				res, err := env.RunProgram(context.Background(), cfg, ProgramParams{Source: src, Shots: 552, Replay: mode, ShotWorkers: sw, BatchLanes: lanes})
@@ -341,7 +341,7 @@ func TestRepCodeBitIdenticalAcrossBatchLanes(t *testing.T) {
 	var baseline *RepCodeResult
 	for _, lanes := range []int{0, 4} {
 		p.BatchLanes = lanes
-		res, err := RunRepCode(cfg, p)
+		res, err := NewEnv().RunRepCode(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatalf("BatchLanes=%d: %v", lanes, err)
 		}

@@ -169,7 +169,7 @@ func runPool(ctx context.Context, n, workers int, job func(i int) error) error {
 }
 
 // programCache assembles each distinct program text once per cache
-// lifetime (per sweep for the plain RunX functions, per service for an
+// lifetime (per Env: one run for a fresh Env, the service's life for the
 // Env held by internal/service). Sweep points that share a program
 // (every repetition-code chunk of a variant, every Rabi amplitude point,
 // every shot-hoisted program reused across worker jobs) hit the cache;

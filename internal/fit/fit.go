@@ -245,6 +245,17 @@ func FitDampedCosine(x, y []float64) (DampedCosine, error) {
 	return d, nil
 }
 
+// RabiFringe holds the undamped, phase-pinned Rabi model
+// y = C − A·cos(2πf·x).
+type RabiFringe struct {
+	A, Freq, C float64
+}
+
+// Eval evaluates the model at x.
+func (r RabiFringe) Eval(x float64) float64 {
+	return r.C - r.A*math.Cos(2*math.Pi*r.Freq*x)
+}
+
 // FitRabi fits the fixed-phase Rabi model y = C − A·cos(2πf·x) with
 // A ≥ 0: an amplitude sweep starting at zero drive must start at the
 // bottom of its fringe, so the phase is pinned rather than fitted. That
@@ -252,15 +263,14 @@ func FitDampedCosine(x, y []float64) (DampedCosine, error) {
 // is *linear* in (A, C) and solved in closed form, and only f is
 // searched, so shot noise on individual points cannot steer the
 // optimizer into the phase/amplitude degeneracies the free five-
-// parameter damped-cosine fit is prone to. The result is returned as an
-// undamped DampedCosine (Tau = +Inf, Phase = π).
-func FitRabi(x, y []float64) (DampedCosine, error) {
+// parameter damped-cosine fit is prone to.
+func FitRabi(x, y []float64) (RabiFringe, error) {
 	if len(x) != len(y) || len(x) < 8 {
-		return DampedCosine{}, errors.New("fit: need at least eight matched points")
+		return RabiFringe{}, errors.New("fit: need at least eight matched points")
 	}
 	span := x[len(x)-1] - x[0]
 	if span <= 0 {
-		return DampedCosine{}, errors.New("fit: x span must be positive")
+		return RabiFringe{}, errors.New("fit: x span must be positive")
 	}
 	maxF := float64(len(x)-1) / (2 * span) // Nyquist for roughly uniform sampling
 	// For fixed f solve min Σ (C − A·cos(2πf·x_i) − y_i)² by the 2×2
@@ -314,9 +324,9 @@ func FitRabi(x, y []float64) (DampedCosine, error) {
 	}
 	amp, off, _ := solveAt(bestF)
 	if amp == 0 {
-		return DampedCosine{}, errors.New("fit: no oscillation consistent with a pinned-phase Rabi fringe")
+		return RabiFringe{}, errors.New("fit: no oscillation consistent with a pinned-phase Rabi fringe")
 	}
-	return DampedCosine{A: amp, Tau: math.Inf(1), Freq: bestF, Phase: math.Pi, C: off}, nil
+	return RabiFringe{A: amp, Freq: bestF, C: off}, nil
 }
 
 // RBDecay holds the randomized-benchmarking model F(m) = A·p^m + B.

@@ -215,18 +215,31 @@ func (d *DataCollector) Record(s float64) {
 // Rounds returns the number of complete rounds recorded.
 func (d *DataCollector) Rounds() int { return d.rounds }
 
-// Sums returns a copy of the per-index running sums Σ_j S_{i,j}.
-// Together with Counts it lets shot-sharded experiments merge several
-// collectors exactly: summing the shard sums and counts in shard order,
-// then dividing once, reproduces the single-collector average bit for
-// bit when there is one shard and deterministically for any shard count.
-func (d *DataCollector) Sums() []float64 {
-	return append([]float64(nil), d.sums...)
+// Clone returns an independent copy of the collector, so a shard's
+// sums outlive the machine that recorded them.
+func (d *DataCollector) Clone() *DataCollector {
+	c := *d
+	c.sums = append([]float64(nil), d.sums...)
+	c.counts = append([]int(nil), d.counts...)
+	return &c
 }
 
-// Counts returns a copy of the per-index record counts.
-func (d *DataCollector) Counts() []int {
-	return append([]int(nil), d.counts...)
+// MergeCollectors returns one collector holding several shards' records
+// taken as a single run: per-index sums and counts are added in shard
+// order starting from zero, and complete rounds add up. Its Averages
+// divide once, so one shard reproduces that shard's averages bit for
+// bit, and a sharded run gets the same bytes whatever order its shards
+// finished in. All shards must have the same K.
+func MergeCollectors(shards []*DataCollector) *DataCollector {
+	m := NewDataCollector(shards[0].K)
+	for _, d := range shards {
+		for i := range m.sums {
+			m.sums[i] += d.sums[i]
+			m.counts[i] += d.counts[i]
+		}
+		m.rounds += d.rounds
+	}
+	return m
 }
 
 // Averages returns S̄_i for i in 0..K-1. Indices never recorded return 0.

@@ -129,6 +129,33 @@ func TestDataCollectorReset(t *testing.T) {
 	}
 }
 
+// TestMergeCollectors pins the shard merge: sums and counts add in
+// shard order from zero and divide once, a clone outlives its source's
+// reset, and a single shard reproduces its own averages.
+func TestMergeCollectors(t *testing.T) {
+	a, b := NewDataCollector(2), NewDataCollector(2)
+	for _, s := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
+		a.Record(s)
+	}
+	for _, s := range []float64{1.5, 2.5} {
+		b.Record(s)
+	}
+	ac := a.Clone()
+	a.Reset()
+	m := MergeCollectors([]*DataCollector{ac, b})
+	if m.Rounds() != 3 {
+		t.Errorf("merged rounds = %d, want 3", m.Rounds())
+	}
+	want := []float64{(0 + 0.1 + 0.3 + 0.5 + 1.5) / 4, (0 + 0.2 + 0.4 + 2.5) / 3}
+	if got := m.Averages(); got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("merged averages %v, want %v", got, want)
+	}
+	one := MergeCollectors([]*DataCollector{b})
+	if got, want := one.Averages(), b.Averages(); got[0] != want[0] || got[1] != want[1] || one.Rounds() != b.Rounds() {
+		t.Errorf("one-shard merge %v (%d rounds), want %v (%d rounds)", got, one.Rounds(), want, b.Rounds())
+	}
+}
+
 func TestNewDataCollectorPanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -112,7 +112,7 @@ func TestCompileCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := asm.MustAssemble(simpleShot)
-	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
+	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeAuto}); err != nil {
 		t.Fatal(err)
 	}
 	e1 := memoEntry(m, prog)
@@ -120,7 +120,7 @@ func TestCompileCacheReuse(t *testing.T) {
 		t.Fatal("first compiled run must populate the template's memo")
 	}
 	m.ResetState(4)
-	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
+	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeAuto}); err != nil {
 		t.Fatal(err)
 	}
 	e2 := memoEntry(m, prog)
@@ -140,7 +140,7 @@ MD {q0}, r7
 halt
 `)
 	m.ResetState(5)
-	if _, err := Run(context.Background(), m, other, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
+	if _, err := Run(context.Background(), m, other, Options{Shots: 20, Mode: ModeAuto}); err != nil {
 		t.Fatal(err)
 	}
 	if e := memoEntry(m, other); e.c == nil || e.c == e1.c {
@@ -150,7 +150,7 @@ halt
 		t.Error("the first program's entry must survive a second program")
 	}
 	m.ResetState(6)
-	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeCompiled}); err != nil {
+	if _, err := Run(context.Background(), m, prog, Options{Shots: 20, Mode: ModeAuto}); err != nil {
 		t.Fatal(err)
 	}
 	if memoEntry(m, prog).c != e2.c {
@@ -159,14 +159,14 @@ halt
 	// And a cached run must equal a fresh machine bit for bit.
 	m.ResetState(9)
 	var pooled [][]MD
-	if _, err := Run(context.Background(), m, prog, Options{Shots: 25, Mode: ModeCompiled, OnShot: func(_ int, md []MD) {
+	if _, err := Run(context.Background(), m, prog, Options{Shots: 25, Mode: ModeAuto, OnShot: func(_ int, md []MD) {
 		pooled = append(pooled, append([]MD(nil), md...))
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	c2 := cfg
 	c2.Seed = 9
-	_, fresh, mf := runEngine(t, c2, simpleShot, 25, ModeCompiled)
+	_, fresh, mf := runEngine(t, c2, simpleShot, 25, ModeAuto)
 	requireIdentical(t, fresh, pooled, mf, m)
 }
 
@@ -194,7 +194,7 @@ func TestMachinesOfOneTemplateShareOneCompile(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					st, err := Run(context.Background(), m, prog, Options{Shots: shots, Mode: ModeCompiled, OnShot: func(_ int, md []MD) {
+					st, err := Run(context.Background(), m, prog, Options{Shots: shots, Mode: ModeAuto, OnShot: func(_ int, md []MD) {
 						hist[i] = append(hist[i], append([]MD(nil), md...))
 					}})
 					if err != nil || !st.Safe {
@@ -216,7 +216,7 @@ func TestMachinesOfOneTemplateShareOneCompile(t *testing.T) {
 		for i, m := range machines {
 			c := cfg
 			c.Seed = int64(i + 1)
-			_, want, mwant := runEngine(t, c, simpleShot, shots, ModeCompiled)
+			_, want, mwant := runEngine(t, c, simpleShot, shots, ModeAuto)
 			requireIdentical(t, want, hist[i], mwant, m)
 		}
 	})
@@ -236,7 +236,7 @@ func BenchmarkCompiledShot(b *testing.B) {
 	}
 	prog := asm.MustAssemble(repCodeShotSrc)
 	// Record and compile through the engine once.
-	if _, err := Run(context.Background(), m, prog, Options{Shots: detectShots + 1, Mode: ModeCompiled}); err != nil {
+	if _, err := Run(context.Background(), m, prog, Options{Shots: detectShots + 1, Mode: ModeAuto}); err != nil {
 		b.Fatal(err)
 	}
 	cache := memoEntry(m, prog)

@@ -67,42 +67,38 @@ import (
 type Mode string
 
 const (
-	// ModeAuto records leading shots, then replays the compiled schedule
-	// when the program is detected replay-safe (the default; "" means
-	// auto).
+	// ModeAuto records leading shots and, when the program is detected
+	// replay-safe, compiles the schedule once into specialized
+	// closure-free steps bound to the concrete backend type (see
+	// compile.go), then replays the compiled form for the remaining
+	// shots (the default; "" means auto). Bit-identical to ModeOff
+	// whenever the schedule separates same-qubit unitaries with at least
+	// one channel application — every decoherent configuration. With
+	// decoherence disabled, adjacent unitaries fuse into one precomputed
+	// matrix (qphys.FuseUnitaries): amplitudes then agree to
+	// floating-point rounding rather than bit-for-bit, which leaves
+	// measured results identical in practice (regression-tested) but not
+	// provably bit-exact.
 	ModeAuto Mode = "auto"
 	// ModeOff runs every shot through the full pipeline.
 	ModeOff Mode = "off"
-	// ModeCompiled records leading shots and, when safe, compiles the
-	// schedule once into specialized closure-free steps bound to the
-	// concrete backend type (see compile.go), then replays the compiled
-	// form. Bit-identical to ModeOff whenever the schedule separates
-	// same-qubit unitaries with at least one channel application — every
-	// decoherent configuration. With decoherence disabled, adjacent
-	// unitaries fuse into one precomputed matrix (qphys.FuseUnitaries):
-	// amplitudes then agree to floating-point rounding rather than
-	// bit-for-bit, which leaves measured results identical in practice
-	// (regression-tested) but not provably bit-exact.
-	ModeCompiled Mode = "compiled"
 )
 
 // ParseMode validates a mode string and resolves the default: the empty
-// string selects ModeAuto, and the legacy spelling "interp" (the retired
-// op-by-op interpreter, bit-identical to compiled replay) selects
-// ModeCompiled, so requests and journaled jobs that name it stay valid.
-// Callers that accept a mode from the outside (flags, config) should
-// reject anything ParseMode rejects instead of silently defaulting.
+// string selects ModeAuto, and so do "compiled" (once a separate mode
+// that behaved exactly like auto) and "interp" (the retired op-by-op
+// interpreter, bit-identical to compiled replay), so requests and
+// journaled jobs that name them stay valid. Callers that accept a mode
+// from the outside (flags, config) should reject anything ParseMode
+// rejects instead of silently defaulting.
 func ParseMode(s string) (Mode, error) {
 	switch Mode(s) {
-	case "":
+	case "", ModeAuto, "compiled", "interp":
 		return ModeAuto, nil
-	case "interp":
-		return ModeCompiled, nil
-	case ModeAuto, ModeOff, ModeCompiled:
-		return Mode(s), nil
+	case ModeOff:
+		return ModeOff, nil
 	}
-	return "", fmt.Errorf("replay: unknown mode %q (want %q, %q or %q)",
-		s, ModeAuto, ModeCompiled, ModeOff)
+	return "", fmt.Errorf("replay: unknown mode %q (want %q, %q or %q)", s, ModeAuto, "compiled", ModeOff)
 }
 
 // detectShots is the number of leading shots executed through the full
@@ -308,7 +304,7 @@ type BatchLane struct {
 // they are produced. (The one qualified case: with decoherence disabled
 // entirely, compiled replay fuses adjacent same-qubit unitaries, and
 // results are float-equivalent rather than provably bit-exact — see
-// ModeCompiled.)
+// ModeAuto.)
 //
 // Cancellation: a done ctx preempts the run between full-pipeline shots
 // and, inside replayed loops, within ctxCheckShots shots, returning the

@@ -111,7 +111,7 @@ func TestReplayBitIdenticalToFullSimulation(t *testing.T) {
 		if stOff.Replayed != 0 {
 			t.Errorf("ModeOff replayed %d shots", stOff.Replayed)
 		}
-		for _, mode := range []Mode{ModeAuto, ModeCompiled} {
+		for _, mode := range []Mode{ModeAuto} {
 			st, got, m := runEngine(t, cfg, simpleShot, shots, mode)
 			if !st.Safe || st.Replayed != shots-detectShots {
 				t.Errorf("%s stats = %+v, want safe with %d replayed", mode, st, shots-detectShots)
@@ -146,7 +146,7 @@ halt
 		cfg.CollectK = 2
 		const shots = 50
 		stO, off, mo := runEngine(t, cfg, src, shots, ModeOff)
-		stC, comp, mc := runEngine(t, cfg, src, shots, ModeCompiled)
+		stC, comp, mc := runEngine(t, cfg, src, shots, ModeAuto)
 		if stO.Safe || stO.Replayed != 0 {
 			t.Fatalf("off stats = %+v", stO)
 		}
@@ -187,7 +187,7 @@ halt
 			cfg.CollectK = 1
 			const shots = 50
 			_, off, moff := runEngine(t, cfg, src, shots, ModeOff)
-			for _, mode := range []Mode{ModeAuto, ModeCompiled} {
+			for _, mode := range []Mode{ModeAuto} {
 				st, got, m := runEngine(t, cfg, src, shots, mode)
 				if !st.Safe {
 					t.Fatalf("%s: noiseless pulse program must replay: %+v", mode, st)
@@ -213,7 +213,7 @@ func TestFeedbackFallbackUnderResetStatePooling(t *testing.T) {
 			return runEngine(t, c, feedbackShot, shots, mode)
 		}
 		_, want, mwant := fresh(ModeOff)
-		for _, mode := range []Mode{ModeOff, ModeCompiled, ModeAuto} {
+		for _, mode := range []Mode{ModeOff, ModeAuto} {
 			// Pooled machine: constructed under another seed, used for an
 			// unrelated replay-safe program, then reset — it must behave
 			// exactly like a fresh machine under the target seed.
@@ -351,16 +351,19 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestParseModeLegacyInterp pins the retired interpreter's spelling:
-// "interp" still validates and resolves to compiled replay, so requests
-// and journaled jobs that name it keep running — and replay.
+// TestParseModeLegacyInterp pins the retired spellings: "interp" (the
+// op-by-op interpreter) and "compiled" still validate and resolve to
+// ModeAuto, so requests and journaled jobs that name them keep running —
+// and replay.
 func TestParseModeLegacyInterp(t *testing.T) {
-	if m, err := ParseMode("interp"); err != nil || m != ModeCompiled {
-		t.Fatalf(`ParseMode("interp") = (%q, %v), want (%q, nil)`, m, err, ModeCompiled)
+	for _, s := range []string{"interp", "compiled"} {
+		if m, err := ParseMode(s); err != nil || m != ModeAuto {
+			t.Fatalf(`ParseMode(%q) = (%q, %v), want (%q, nil)`, s, m, err, ModeAuto)
+		}
 	}
 	cfg := core.DefaultConfig()
 	cfg.CollectK = 1
-	_, want, mwant := runEngine(t, cfg, simpleShot, 40, ModeCompiled)
+	_, want, mwant := runEngine(t, cfg, simpleShot, 40, ModeAuto)
 	st, got, m := runEngine(t, cfg, simpleShot, 40, "interp")
 	if !st.Safe || st.Replayed != 40-detectShots {
 		t.Fatalf("interp stats = %+v, want compiled replay", st)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"quma/internal/expt"
 	"quma/internal/journal"
 )
 
@@ -303,5 +304,115 @@ func TestJournalRecoveredDoneJobReportsTotal(t *testing.T) {
 	}
 	if after := fetchResult(t, base2, id); !bytes.Equal(after, before) {
 		t.Fatalf("recovered result differs:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestJournalRecoversFailedAndCanceledJobs: a failed job and a job
+// canceled mid-sweep each append a synced terminal record, and a server
+// restarted on the journal restores both with the same status, code and
+// message without executing either again.
+func TestJournalRecoversFailedAndCanceledJobs(t *testing.T) {
+	var failGets, slowShots atomic.Bool
+	faults := &expt.FaultHooks{
+		PoolGet: func() error {
+			if failGets.Load() {
+				return errors.New("injected: pool get failed")
+			}
+			return nil
+		},
+		Shot: func(int) {
+			if slowShots.Load() {
+				time.Sleep(time.Millisecond)
+			}
+		},
+	}
+	dir := t.TempDir()
+	jr, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Journal: jr, Faults: faults}).Start()
+	base := httpTestServer(t, s)
+	// waitSynced polls until the journal has fsync'd twice since from:
+	// the accepted record, then the terminal one, which lands just after
+	// the in-memory transition and cannot share the accepted record's
+	// fsync.
+	waitSynced := func(from uint64, what string) {
+		t.Helper()
+		for end := time.Now().Add(10 * time.Second); jr.Counters().Fsyncs < from+2; {
+			if time.Now().After(end) {
+				t.Fatalf("the %s record was never synced (fsyncs %d)", what, jr.Counters().Fsyncs)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	failGets.Store(true)
+	synced := jr.Counters().Fsyncs
+	failed, code := submitKeyed(t, base, quickAsm(21), "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	waitStatus(t, base, failed, time.Minute, StatusFailed)
+	waitSynced(synced, "failed")
+	failGets.Store(false)
+
+	slowShots.Store(true)
+	synced = jr.Counters().Fsyncs
+	canceled, code := submitKeyed(t, base, slowT1(), "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	waitStatus(t, base, canceled, time.Minute, StatusRunning)
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+canceled, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitStatus(t, base, canceled, time.Minute, StatusCanceled)
+	waitSynced(synced, "canceled")
+	slowShots.Store(false)
+
+	status := func(base, id string) progressEvent {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ev progressEvent
+		if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	before := map[string]progressEvent{failed: status(base, failed), canceled: status(base, canceled)}
+	if before[failed].Status != StatusFailed || before[canceled].Status != StatusCanceled {
+		t.Fatalf("jobs ended %+v, want one failed and one canceled", before)
+	}
+	s.Drain()
+	jr.Close()
+
+	jr2, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr2.Close()
+	var gets atomic.Int64
+	s2 := New(Config{Workers: 1, Journal: jr2, Faults: &expt.FaultHooks{PoolGet: func() error {
+		gets.Add(1)
+		return nil
+	}}}).Start()
+	base2 := httpTestServer(t, s2)
+	for id, want := range before {
+		got := status(base2, id)
+		if got.Status != want.Status || got.Code != want.Code || got.Error != want.Error {
+			t.Errorf("job %s recovered as %+v, want %+v", id, got, want)
+		}
+	}
+	s2.Drain()
+	if n := gets.Load(); n != 0 {
+		t.Fatalf("recovered terminal jobs re-executed (%d pool gets)", n)
 	}
 }

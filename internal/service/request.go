@@ -58,8 +58,8 @@ type ExperimentRequest struct {
 	// bit-identical for any value, and the field is scrubbed from the
 	// canonical form and the result's params echo.
 	BatchLanes int `json:"batch_lanes,omitempty"`
-	// Replay is the shot-replay engine mode: "", auto, compiled, off, or
-	// interp (a legacy spelling of compiled). Results are bit-identical
+	// Replay is the shot-replay engine mode: "", auto or off; compiled
+	// and interp are legacy spellings of auto. Results are bit-identical
 	// for any value.
 	Replay string `json:"replay,omitempty"`
 

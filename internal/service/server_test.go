@@ -685,3 +685,22 @@ func TestLegacyInterpReplayRuns(t *testing.T) {
 		t.Fatalf("interp stream %x ones %v, want compiled's %x ones %v", got.StreamHash, got.Ones, want.StreamHash, want.Ones)
 	}
 }
+
+// TestRabiRequestEncodes: a rabi experiment executes to a result
+// document (its fit holds no infinity that JSON cannot encode), and a
+// second run on the same Env reproduces it byte for byte.
+func TestRabiRequestEncodes(t *testing.T) {
+	env := expt.NewEnv()
+	req := ExperimentRequest{Type: "rabi", Seed: 1, Rounds: 60}
+	first, err := Execute(context.Background(), env, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Execute(context.Background(), env, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("rabi result differs between runs:\n%s\n%s", first, again)
+	}
+}
